@@ -6,8 +6,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EngelfitError, ResourceLimitError
-from .report import EXIT_RESOURCE, TOOL_NAME, TOOL_VERSION, write_report
+from .errors import ConsistencyError, EngelfitError, ResourceLimitError
+from .report import (EXIT_CONSISTENCY, EXIT_RESOURCE, TOOL_NAME, TOOL_VERSION,
+                     write_report)
 from .corpus import get_corpus
 from .suites import SUITE_ORDER, Caps, analyze_text, run_suites
 
@@ -100,6 +101,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except ConsistencyError as exc:
+        print(f"engine consistency error: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     except EngelfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engel import AutomorphismMap, holomorph_extension, inner, make_automorphism
-from .errors import ParseError
+from .errors import ParseError, ResourceLimitError
 from .group import ELEMENT_CAP, GroupHandle, close_group
 from .perm import Permutation, format_cycles, parse_cycles
 
@@ -21,7 +21,12 @@ __all__ = [
     "serialize_group_file",
     "load_corpus",
     "get_corpus",
+    "MAX_DEGREE",
 ]
+
+# Largest permutation degree a .grp file or builtin family may declare;
+# checked before any permutation of that degree is allocated.
+MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -52,9 +57,19 @@ def _cycle(points: list[int], degree: int) -> Permutation:
     return Permutation(images)
 
 
+def _check_size(family: str, degree: int, order: int) -> None:
+    """Reject a family member whose degree or closed-form order is over a cap,
+    before its closure is built."""
+    if degree > MAX_DEGREE or order > ELEMENT_CAP:
+        raise ResourceLimitError(
+            f"{family} has degree {degree} and order {order}; the caps are "
+            f"degree {MAX_DEGREE} and order {ELEMENT_CAP}", partial_count=0)
+
+
 def _cyclic(n: int):
     if n < 1:
         raise ParseError("cyclic(n) requires n >= 1")
+    _check_size(f"cyclic({n})", n, n)
     group = close_group([_cycle(list(range(1, n + 1)), n)] if n > 1
                         else [Permutation.identity(1)])
     autos = []
@@ -66,6 +81,7 @@ def _cyclic(n: int):
 def _dihedral(n: int):
     if n < 3:
         raise ParseError("dihedral(n) requires n >= 3")
+    _check_size(f"dihedral({n})", n, 2 * n)
     rotation = _cycle(list(range(1, n + 1)), n)
     reflection = Permutation([((n - i) % n) for i in range(n)])
     group = close_group([rotation, reflection])
@@ -120,6 +136,8 @@ def _sl2(p: int):
 def _direct_product(left: CorpusEntry, right: CorpusEntry):
     d1, d2 = left.group.degree, right.group.degree
     degree = d1 + d2
+    _check_size(f"direct_product({left.name},{right.name})", degree,
+                left.group.order * right.group.order)
     gens = [Permutation(tuple(g.images) + tuple(range(d1, degree)))
             for g in left.group.generators]
     gens += [Permutation(tuple(range(d1)) + tuple(i + d1 for i in g.images))
@@ -254,8 +272,11 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
                 raise ParseError(f"line {lineno}: bad name {rest!r}")
             name = rest
         elif keyword == "degree":
-            if not rest.isdigit() or int(rest) < 1:
-                raise ParseError(f"line {lineno}: bad degree {rest!r}")
+            # the length test keeps int() off digit strings too long to convert
+            if (not rest.isdecimal() or len(rest.lstrip("0")) > len(str(MAX_DEGREE))
+                    or not 1 <= int(rest) <= MAX_DEGREE):
+                raise ParseError(f"line {lineno}: bad degree {rest[:20]!r} "
+                                 f"(must be 1..{MAX_DEGREE})")
             degree = int(rest)
         elif keyword == "gen":
             if degree is None:

@@ -318,6 +318,12 @@ def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
     Permutations already generated by earlier ones are dropped, so the
     stored generator count stays logarithmic in the group order.  An empty
     input yields the trivial group (degree required).
+
+    Each kept generator grows the group by Dimino's coset extension
+    (Butler, *Fundamental Algorithms for Permutation Groups*, 1991): with
+    H the group so far, the new group is a union of right cosets H·r,
+    found by multiplying each coset representative by every kept
+    generator.
     """
     items = sorted(set(perms))
     if not items:
@@ -330,7 +336,30 @@ def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
     for x in items:
         if x not in current:
             gens.append(x)
-            current = _bfs_closure(gens, degree, cap)
+            _extend_by_cosets(current, gens, cap)
     handle = GroupHandle(tuple(gens) or (Permutation.identity(degree),), element_cap=cap)
     handle._elements = frozenset(current)
     return handle
+
+
+def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation], cap: int) -> None:
+    """Grow the group `elements` in place to ⟨elements, gens[-1]⟩.
+
+    `elements` must be the group generated by ``gens[:-1]``.  Every coset
+    is added whole, so the cap is checked before a coset is added and a
+    failure leaves no partial group behind for the caller to return.
+    """
+    sub = list(elements)
+    reps = [gens[-1]]
+    i = 0
+    while i < len(reps):
+        r = reps[i]
+        i += 1
+        if r in elements:
+            continue
+        if len(elements) + len(sub) > cap:
+            raise ResourceLimitError(
+                f"element cap {cap} exceeded during closure",
+                partial_count=len(elements))
+        elements.update(h * r for h in sub)
+        reps.extend(r * s for s in gens)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ParseError
@@ -58,7 +59,10 @@ class Permutation:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
-        return _raw(tuple(b[i] for i in a))
+        if len(a) == 1:
+            # itemgetter with one index returns a scalar, not a tuple
+            return _raw(b)
+        return _raw(itemgetter(*a)(b))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)

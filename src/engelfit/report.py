@@ -28,6 +28,7 @@ FORMAT_LINE = "format engelfit-report-v1"
 EXIT_PASS = 0
 EXIT_VIOLATIONS = 1
 EXIT_RESOURCE = 2
+EXIT_CONSISTENCY = 3  # an engine bug: two independent computations disagree
 
 
 @dataclass(frozen=True)

@@ -239,9 +239,6 @@ def is_normal_in(sub: GroupHandle, ambient: GroupHandle) -> bool:
                for s in sub.generators for g in ambient.generators)
 
 
-_SUBNORMAL_MEMO: dict[tuple[str, str], bool] = {}
-
-
 def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[GroupHandle]]:
     """Decide subnormality by iterated normal closure.
 
@@ -256,9 +253,7 @@ def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[Group
         if nxt.same_elements(chain[-1]):
             break
         chain.append(nxt)
-    verdict = chain[-1].same_elements(sub)
-    _SUBNORMAL_MEMO[(group.fingerprint, sub.fingerprint)] = verdict
-    return verdict, chain
+    return chain[-1].same_elements(sub), chain
 
 
 @dataclass

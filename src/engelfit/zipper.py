@@ -42,19 +42,6 @@ class SubgroupLattice:
     def __len__(self) -> int:
         return len(self.members)
 
-    def index_of(self, handle: GroupHandle) -> Optional[int]:
-        fp = handle.fingerprint
-        for i, m in enumerate(self.members):
-            if m.group.fingerprint == fp:
-                return i
-        return None
-
-    def overgroups_of(self, i: int) -> tuple[int, ...]:
-        return self.supersets[i]
-
-    def maximal_over(self, i: int) -> list[int]:
-        return [j for j in self.maximal if j in self.supersets[i] or j == i]
-
 
 def _conjugated(handle: GroupHandle, t: Permutation) -> GroupHandle:
     gens = tuple(g.conjugate(t) for g in handle.generators)
@@ -177,10 +164,6 @@ def normal_closure_descent(sub: GroupHandle, ambient: GroupHandle) -> SeriesReco
                         length=len(terms) - 1)
 
 
-def descent_stable_term(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
-    return normal_closure_descent(sub, ambient).terms[-1].group
-
-
 def descent_lemma_failures(sub: GroupHandle, series: SeriesRecord) -> list[str]:
     """Check the descent series facts: step normality, subnormality of every
     term in the top, and self-closure of the stable term.  Returns failure
@@ -283,7 +266,7 @@ def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
         raise PreconditionError("the subgroup lies in no maximal subgroup")
     values: dict[str, GroupHandle] = {}
     for m in maximal_over:
-        v = descent_stable_term(sub, m)
+        v = normal_closure_descent(sub, m).terms[-1].group
         values.setdefault(v.fingerprint, v)
     handles = list(values.values())
     top_count = sum(

@@ -35,6 +35,21 @@ def test_exit_code_two_on_resource_limit(tmp_path):
     assert report.status == "partial"
 
 
+def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):
+    # an engine bug must not be reported as a resource cap (exit 2)
+    import engelfit.cli
+    from engelfit.errors import ConsistencyError
+
+    def broken_run_suites(*args, **kwargs):
+        raise ConsistencyError("stabilizer chain order 6 != closure size 5")
+
+    monkeypatch.setattr(engelfit.cli, "run_suites", broken_run_suites)
+    code = main(["run", "--suite", "baer", "--corpus", "builtin:symmetric(3)"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine consistency error: stabilizer chain order")
+
+
 def test_analyze_s4(capsys):
     code = main(["analyze", "--corpus", "builtin:symmetric(4)",
                  "--group", "symmetric(4)"])

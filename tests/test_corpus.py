@@ -2,9 +2,9 @@
 
 import pytest
 
-from engelfit.corpus import (builtin, get_corpus, load_corpus,
+from engelfit.corpus import (MAX_DEGREE, builtin, get_corpus, load_corpus,
                              parse_group_file, serialize_group_file, small_std)
-from engelfit.errors import ParseError
+from engelfit.errors import ParseError, ResourceLimitError
 from engelfit.report import (GroupSummary, SuiteResult, VerdictReport,
                              Violation, parse_report, render_report,
                              write_report)
@@ -102,6 +102,24 @@ def test_parse_group_file_errors_carry_line_numbers():
         parse_group_file("generator (1 2)\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_group_file("name x\nmap (1 2)\n")
+
+
+def test_parse_group_file_bounds_the_degree():
+    # rejected before the gen line allocates a permutation of that degree
+    for degree in [str(MAX_DEGREE + 1), "10" * 30, "9" * 5000, "0", "\u00b2"]:
+        with pytest.raises(ParseError, match=f"line 2: bad degree .* 1..{MAX_DEGREE}"):
+            parse_group_file(f"name x\ndegree {degree}\ngen (1 2)\n")
+    assert parse_group_file(f"name x\ndegree {MAX_DEGREE}\ngen (1 2)\n").group.order == 2
+
+
+def test_builtin_families_over_the_caps_rejected_before_closure():
+    # sizes come from closed forms, so no group of these sizes is built
+    for spec in ["cyclic(1000000000)", f"cyclic({MAX_DEGREE + 1})",
+                 "dihedral(1000000)", f"dihedral({MAX_DEGREE + 1})",
+                 "direct_product(cyclic(500),cyclic(500))"]:
+        with pytest.raises(ResourceLimitError) as err:
+            builtin(spec)
+        assert err.value.partial_count == 0
 
 
 def test_parse_group_file_crlf_tolerated():

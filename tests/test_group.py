@@ -3,10 +3,11 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from engelfit.errors import ResourceLimitError
-from engelfit.group import GroupHandle, close_group, generated_by
+from engelfit.group import (ELEMENT_CAP, GroupHandle, StabilizerChain, _bfs_closure,
+                            close_group, generated_by)
 from engelfit.perm import Permutation, commutator, parse_cycles
 
 
@@ -145,3 +146,47 @@ def test_commuting_iff_trivial_commutator():
 def test_chain_vs_closure_on_random_generating_sets(gens):
     g = GroupHandle(gens)
     assert g.chain.order == len(g.elements())
+
+
+@st.composite
+def generator_lists(draw):
+    """Nonempty lists of permutations in S_n for a drawn n <= 6."""
+    n = draw(st.integers(1, 6))
+    return draw(st.lists(st.permutations(range(n)).map(Permutation),
+                         min_size=1, max_size=4))
+
+
+def _greedy_by_full_closure(perms):
+    """Reference generator rule: keep x when it is outside the closure of the
+    generators kept so far, re-closing from scratch after each one."""
+    items = sorted(set(perms))
+    degree = items[0].degree
+    gens, current = [], {Permutation.identity(degree)}
+    for x in items:
+        if x not in current:
+            gens.append(x)
+            current = _bfs_closure(gens, degree, ELEMENT_CAP)
+    return tuple(gens) or (Permutation.identity(degree),), frozenset(current)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_lists())
+def test_generated_by_agrees_with_closure_greedy_rule_and_chain(perms):
+    degree = perms[0].degree
+    g = generated_by(perms)
+    expected_gens, expected_elements = _greedy_by_full_closure(perms)
+    assert g.generators == expected_gens
+    assert g.elements() == expected_elements
+    assert g.elements() == frozenset(_bfs_closure(g.generators, degree, ELEMENT_CAP))
+    assert g.order == StabilizerChain(perms, degree).order
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_lists(), st.data())
+def test_generated_by_cap_below_order_raises(perms, data):
+    order = generated_by(perms).order
+    assume(order > 1)
+    cap = data.draw(st.integers(1, order - 1))
+    with pytest.raises(ResourceLimitError):
+        generated_by(perms, cap=cap)
+    assert generated_by(perms, cap=order).order == order

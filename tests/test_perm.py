@@ -91,6 +91,19 @@ def test_p_part_requires_prime():
 def test_degree_mismatch_raises():
     with pytest.raises(ValueError):
         parse_cycles("(1 2)", 2) * parse_cycles("(1 2)", 3)
+    with pytest.raises(ValueError, match="degree mismatch: 1 vs 2"):
+        Permutation.identity(1) * Permutation.identity(2)
+    with pytest.raises(ValueError, match="degree mismatch: 2 vs 1"):
+        Permutation.identity(2) * Permutation.identity(1)
+
+
+def test_degree_one_product_is_a_permutation():
+    e = Permutation.identity(1)
+    product = e * e
+    assert isinstance(product, Permutation)
+    assert product.images == (0,)
+    assert product == e and hash(product) == hash(e)
+    assert (e ** 5).images == (0,)
 
 
 perms = st.permutations(range(6)).map(Permutation)
