@@ -170,22 +170,29 @@ def _split_args(text: str) -> list[str]:
     return parts
 
 
+_INT_FAMILIES = {"cyclic": _cyclic, "dihedral": _dihedral, "symmetric": _symmetric,
+                 "alternating": _alternating, "sl2": _sl2}
+
+
+def _int_arg(family: str, raw_args: list[str]) -> int:
+    """The single integer argument of an integer family."""
+    if len(raw_args) == 1:
+        try:
+            return int(raw_args[0])
+        except ValueError:
+            pass
+    raise ParseError(f"{family}(n) takes one integer argument, got "
+                     f"({', '.join(raw_args)})")
+
+
 def builtin(spec: str, name: Optional[str] = None) -> CorpusEntry:
     """Construct a builtin family entry from a spec like ``symmetric(4)``."""
     m = _FAMILY_RE.match(spec)
     if m is None:
         raise ParseError(f"bad builtin spec {spec!r}")
     family, raw_args = m.group(1), _split_args(m.group(2))
-    if family == "cyclic":
-        group, autos = _cyclic(int(raw_args[0]))
-    elif family == "dihedral":
-        group, autos = _dihedral(int(raw_args[0]))
-    elif family == "symmetric":
-        group, autos = _symmetric(int(raw_args[0]))
-    elif family == "alternating":
-        group, autos = _alternating(int(raw_args[0]))
-    elif family == "sl2":
-        group, autos = _sl2(int(raw_args[0]))
+    if family in _INT_FAMILIES:
+        group, autos = _INT_FAMILIES[family](_int_arg(family, raw_args))
     elif family == "direct_product":
         if len(raw_args) != 2:
             raise ParseError("direct_product takes two group specs")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from array import array
 from dataclasses import dataclass
@@ -15,11 +16,44 @@ __all__ = [
     "GroupHandle",
     "StabilizerChain",
     "ConjugacyClassTable",
+    "clear_derived",
     "close_group",
+    "derived",
     "generated_by",
 ]
 
 ELEMENT_CAP = 200_000
+
+# Values of @derived functions, keyed by (function, element set of each
+# GroupHandle argument, the other arguments).  The suite runner clears it
+# at the start of each corpus entry, so every entry starts from the same
+# state in any worker and an entry's values are freed when the next starts.
+_DERIVED: dict[tuple, object] = {}
+
+
+def derived(fn):
+    """Cache ``fn(*args)`` by the element sets of its GroupHandle arguments.
+
+    Handles with equal elements share one value whatever their generators
+    or element caps, so `fn` must depend on its handles only through their
+    element sets, up to the generators of the subgroups it returns.
+    """
+    @functools.wraps(fn)
+    def cached(*args, **kwargs):
+        key = (fn, *(a.elements() if isinstance(a, GroupHandle) else a for a in args),
+               *kwargs.items())
+        try:
+            return _DERIVED[key]
+        except KeyError:
+            pass
+        value = _DERIVED[key] = fn(*args, **kwargs)
+        return value
+    return cached
+
+
+def clear_derived() -> None:
+    """Drop every value cached by @derived functions."""
+    _DERIVED.clear()
 
 
 class _Level:
@@ -162,7 +196,7 @@ class GroupHandle:
     """
 
     __slots__ = ("degree", "generators", "element_cap",
-                 "_elements", "_sorted", "_chain", "_fingerprint", "_cache")
+                 "_elements", "_sorted", "_chain", "_fingerprint")
 
     def __init__(self, generators: Iterable[Permutation], element_cap: int = ELEMENT_CAP):
         gens = tuple(generators)
@@ -178,7 +212,6 @@ class GroupHandle:
         self._sorted: Optional[tuple[Permutation, ...]] = None
         self._chain: Optional[StabilizerChain] = None
         self._fingerprint: Optional[str] = None
-        self._cache: dict = {}
 
     @classmethod
     def trivial(cls, degree: int) -> "GroupHandle":
@@ -253,10 +286,8 @@ class GroupHandle:
     def is_subset_of(self, other: "GroupHandle") -> bool:
         return self.degree == other.degree and self.elements() <= other.elements()
 
+    @derived
     def conjugacy_classes(self) -> ConjugacyClassTable:
-        cached = self._cache.get("classes")
-        if cached is not None:
-            return cached
         seen: set[Permutation] = set()
         reps: list[Permutation] = []
         sizes: list[int] = []
@@ -275,9 +306,7 @@ class GroupHandle:
             reps.append(e)
             sizes.append(len(orbit))
             seen |= orbit
-        table = ConjugacyClassTable(tuple(reps), tuple(sizes))
-        self._cache["classes"] = table
-        return table
+        return ConjugacyClassTable(tuple(reps), tuple(sizes))
 
     def __repr__(self) -> str:
         known = len(self._elements) if self._elements is not None else "?"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConsistencyError, PreconditionError
-from .group import GroupHandle, generated_by
+from .group import GroupHandle, derived, generated_by
 from .subgrp import (SeriesRecord, Subgroup, centralizer, is_nilpotent,
                      is_quasisimple, is_soluble, join, normal_subgroups,
                      quotient, socle)
@@ -28,13 +28,6 @@ __all__ = [
     "characteristic_profile",
 ]
 
-# Global memo tables keyed by group fingerprint.  Fills are idempotent
-# (equal keys always produce equal values), so concurrent races are safe.
-_LAYER_MEMO: dict[str, GroupHandle] = {}
-_HSTAR_MEMO: dict[str, int] = {}
-_LAMBDA_MEMO: dict[str, int] = {}
-
-
 def _is_prime_power(n: int, p: int) -> bool:
     if n == 1:
         return True
@@ -44,23 +37,17 @@ def _is_prime_power(n: int, p: int) -> bool:
 
 
 def _join_members(group: GroupHandle, keep) -> GroupHandle:
-    lattice = normal_subgroups(group)
-    picked = [m.group for m in lattice.members if keep(m.group)]
-    gens = []
-    for h in picked:
-        gens.extend(h.generators)
-    return generated_by(gens, degree=group.degree, cap=group.element_cap)
+    picked = [m.group for m in normal_subgroups(group).members if keep(m.group)]
+    return join(*picked, degree=group.degree, cap=group.element_cap)
 
 
+@derived
 def fitting_subgroup(group: GroupHandle) -> GroupHandle:
     """Join of the nilpotent normal subgroups (nilpotent by Fitting's theorem)."""
-    cached = group._cache.get("fitting")
-    if cached is None:
-        cached = _join_members(group, is_nilpotent)
-        if not is_nilpotent(cached):
-            raise ConsistencyError("join of nilpotent normal subgroups is not nilpotent")
-        group._cache["fitting"] = cached
-    return cached
+    fitting = _join_members(group, is_nilpotent)
+    if not is_nilpotent(fitting):
+        raise ConsistencyError("join of nilpotent normal subgroups is not nilpotent")
+    return fitting
 
 
 def o_p_core(group: GroupHandle, p: int) -> GroupHandle:
@@ -75,42 +62,32 @@ def odd_core(group: GroupHandle) -> GroupHandle:
     return _join_members(group, lambda h: h.order % 2 == 1)
 
 
+@derived
 def soluble_radical(group: GroupHandle) -> GroupHandle:
     """Largest soluble normal subgroup."""
-    cached = group._cache.get("radical")
-    if cached is None:
-        cached = _join_members(group, is_soluble)
-        group._cache["radical"] = cached
-    return cached
+    return _join_members(group, is_soluble)
 
 
+@derived
 def layer(group: GroupHandle) -> GroupHandle:
     """Subgroup generated by the quasisimple subnormal subgroups.
 
     Every component of a non-quasisimple group lies inside a maximal
     proper normal subgroup and is a component there, so the layer is the
-    join of the layers of those subgroups; the recursion is memoized on
-    group fingerprints since members recur across the lattice walk.
+    join of the layers of those subgroups; the recursion is cached by
+    element set since members recur across the lattice walk.
     """
-    memo = _LAYER_MEMO.get(group.fingerprint)
-    if memo is not None:
-        return memo
     if is_soluble(group):
-        result = GroupHandle.trivial(group.degree)
-    elif is_quasisimple(group):
-        result = group
-    else:
-        members = [m.group for m in normal_subgroups(group).members
-                   if m.group.order < group.order]
-        maximal = [m for m in members
-                   if not any(m.order < other.order and m.is_subset_of(other)
-                              for other in members)]
-        gens = []
-        for m in maximal:
-            gens.extend(layer(m).generators)
-        result = generated_by(gens, degree=group.degree, cap=group.element_cap)
-    _LAYER_MEMO[group.fingerprint] = result
-    return result
+        return GroupHandle.trivial(group.degree)
+    if is_quasisimple(group):
+        return group
+    members = [m.group for m in normal_subgroups(group).members
+               if m.group.order < group.order]
+    maximal = [m for m in members
+               if not any(m.order < other.order and m.is_subset_of(other)
+                          for other in members)]
+    return join(*(layer(m) for m in maximal), degree=group.degree,
+                cap=group.element_cap)
 
 
 def _gen_fitting_by_socle(group: GroupHandle) -> GroupHandle:
@@ -132,19 +109,21 @@ def _gen_fitting_by_socle(group: GroupHandle) -> GroupHandle:
     return q.preimage_of(socle(image_sub))
 
 
+@derived
+def _gen_fitting_by_product(group: GroupHandle) -> GroupHandle:
+    return join(fitting_subgroup(group), layer(group))
+
+
 def generalized_fitting(group: GroupHandle, crosscheck: bool = False) -> GroupHandle:
     """F*(G) = F(G) E(G), optionally verified against the socle formula."""
-    cached = group._cache.get("gen_fitting")
-    if cached is None:
-        cached = join(fitting_subgroup(group), layer(group))
-        group._cache["gen_fitting"] = cached
+    product = _gen_fitting_by_product(group)
     if crosscheck:
         alt = _gen_fitting_by_socle(group)
-        if not alt.same_elements(cached):
+        if not alt.same_elements(product):
             raise ConsistencyError(
                 f"generalized Fitting subgroup mismatch: product route has order "
-                f"{cached.order}, socle route has order {alt.order}")
-    return cached
+                f"{product.order}, socle route has order {alt.order}")
+    return product
 
 
 def _ascending_series(group: GroupHandle, step, kind: str) -> SeriesRecord:
@@ -161,38 +140,27 @@ def _ascending_series(group: GroupHandle, step, kind: str) -> SeriesRecord:
                         length=len(terms))
 
 
+@derived
 def gen_fitting_series(group: GroupHandle) -> SeriesRecord:
     """F*_1 < F*_2 < … = G; the length is the generalized Fitting height."""
-    cached = group._cache.get("gen_fitting_series")
-    if cached is not None:
-        return cached
-
     def step(current: GroupHandle) -> GroupHandle:
         if current.is_trivial():
             return generalized_fitting(group)
         q = quotient(group, current)
         return q.preimage_of(generalized_fitting(q.image))
 
-    record = _ascending_series(group, step, "generalized_fitting")
-    group._cache["gen_fitting_series"] = record
-    return record
+    return _ascending_series(group, step, "generalized_fitting")
 
 
 def gen_fitting_height(group: GroupHandle) -> int:
-    memo = _HSTAR_MEMO.get(group.fingerprint)
-    if memo is None:
-        memo = gen_fitting_series(group).length
-        _HSTAR_MEMO[group.fingerprint] = memo
-    return memo
+    return gen_fitting_series(group).length
 
 
+@derived
 def fitting_series(group: GroupHandle) -> SeriesRecord:
     """F_1 < F_2 < … = G for a soluble group."""
     if not is_soluble(group):
         raise PreconditionError("Fitting series requires a soluble group")
-    cached = group._cache.get("fitting_series")
-    if cached is not None:
-        return cached
 
     def step(current: GroupHandle) -> GroupHandle:
         if current.is_trivial():
@@ -200,39 +168,31 @@ def fitting_series(group: GroupHandle) -> SeriesRecord:
         q = quotient(group, current)
         return q.preimage_of(fitting_subgroup(q.image))
 
-    record = _ascending_series(group, step, "fitting")
-    group._cache["fitting_series"] = record
-    return record
+    return _ascending_series(group, step, "fitting")
 
 
 def fitting_height(group: GroupHandle) -> int:
     return fitting_series(group).length
 
 
+@derived
 def insoluble_length(group: GroupHandle) -> int:
     """Minimum number of insoluble factors in a normal series.
 
     Computed by peeling the soluble radical and the socle above it: that
     quotient step removes exactly one insoluble factor.
     """
-    memo = _LAMBDA_MEMO.get(group.fingerprint)
-    if memo is not None:
-        return memo
     if is_soluble(group):
-        result = 0
+        return 0
+    radical = soluble_radical(group)
+    if radical.is_trivial():
+        top = socle(group)
     else:
-        radical = soluble_radical(group)
-        if radical.is_trivial():
-            top = socle(group)
-        else:
-            q0 = quotient(group, radical)
-            top = q0.preimage_of(socle(q0.image))
-        if top.same_elements(group):
-            result = 1
-        else:
-            result = 1 + insoluble_length(quotient(group, top).image)
-    _LAMBDA_MEMO[group.fingerprint] = result
-    return result
+        q0 = quotient(group, radical)
+        top = q0.preimage_of(socle(q0.image))
+    if top.same_elements(group):
+        return 1
+    return 1 + insoluble_length(quotient(group, top).image)
 
 
 def upper_insoluble_series(group: GroupHandle, h_max: Optional[int] = None) -> SeriesRecord:

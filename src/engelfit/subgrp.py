@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError
-from .group import GroupHandle, generated_by
+from .group import ELEMENT_CAP, GroupHandle, derived, generated_by
 from .perm import Permutation, commutator
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "is_abelian",
     "is_normal_in",
     "is_subnormal",
+    "normal_closure_descent",
     "quotient",
     "normal_subgroups",
     "minimal_normals",
@@ -86,31 +87,22 @@ def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> Subgr
     return Subgroup(parent, generated_by(gens, degree=parent.degree, cap=parent.element_cap))
 
 
-def join(a: GroupHandle, b: GroupHandle, cap: Optional[int] = None) -> GroupHandle:
-    """⟨A ∪ B⟩."""
-    if a.degree != b.degree:
+def join(*handles: GroupHandle, degree: Optional[int] = None,
+         cap: Optional[int] = None) -> GroupHandle:
+    """⟨A ∪ B ∪ …⟩; with no handles, the trivial group of `degree`."""
+    if len({h.degree for h in handles}) > 1:
         raise ValueError("degree mismatch in join")
-    return generated_by(a.generators + b.generators, cap=cap or a.element_cap)
+    if cap is None:
+        cap = handles[0].element_cap if handles else ELEMENT_CAP
+    return generated_by([g for h in handles for g in h.generators],
+                        degree=degree, cap=cap)
 
 
-def _join_all(handles: list[GroupHandle], degree: int, cap: int) -> GroupHandle:
-    gens: list[Permutation] = []
-    for h in handles:
-        gens.extend(h.generators)
-    return generated_by(gens, degree=degree, cap=cap)
-
-
-_NC_MEMO: dict[tuple[str, str], GroupHandle] = {}
-
-
+@derived
 def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
     """⟨sub^ambient⟩: the smallest normal subgroup of `ambient` containing `sub`."""
     if sub.degree != ambient.degree:
         raise ValueError("degree mismatch in normal closure")
-    key = (ambient.fingerprint, sub.fingerprint)
-    cached = _NC_MEMO.get(key)
-    if cached is not None:
-        return cached
     gens = [g for g in sub.generators if not g.is_identity()]
     current = generated_by(gens, degree=ambient.degree, cap=ambient.element_cap)
     pending = list(current.generators)
@@ -126,7 +118,6 @@ def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
         for g in ambient.generators:
             if s.conjugate(g) not in current.elements():
                 raise ConsistencyError("normal closure is not ambient-invariant")
-    _NC_MEMO[key] = current
     return current
 
 
@@ -141,12 +132,9 @@ def centralizer(group: GroupHandle, perms: Iterable[Permutation]) -> GroupHandle
     return generated_by(fixed, degree=group.degree, cap=group.element_cap)
 
 
+@derived
 def center(group: GroupHandle) -> GroupHandle:
-    cached = group._cache.get("center")
-    if cached is None:
-        cached = centralizer(group, group.generators)
-        group._cache["center"] = cached
-    return cached
+    return centralizer(group, group.generators)
 
 
 def normal_core(group: GroupHandle, sub: GroupHandle) -> GroupHandle:
@@ -174,12 +162,9 @@ def commutator_subgroup(h: GroupHandle, k: GroupHandle,
     return normal_closure(seed, ambient)
 
 
+@derived
 def derived_subgroup(group: GroupHandle) -> GroupHandle:
-    cached = group._cache.get("derived")
-    if cached is None:
-        cached = commutator_subgroup(group, group, within=group)
-        group._cache["derived"] = cached
-    return cached
+    return commutator_subgroup(group, group, within=group)
 
 
 def derived_series(group: GroupHandle) -> SeriesRecord:
@@ -206,20 +191,14 @@ def lower_central_series(group: GroupHandle) -> SeriesRecord:
                         length=len(terms) - 1)
 
 
+@derived
 def is_soluble(group: GroupHandle) -> bool:
-    cached = group._cache.get("soluble")
-    if cached is None:
-        cached = derived_series(group).terms[-1].group.is_trivial()
-        group._cache["soluble"] = cached
-    return cached
+    return derived_series(group).terms[-1].group.is_trivial()
 
 
+@derived
 def is_nilpotent(group: GroupHandle) -> bool:
-    cached = group._cache.get("nilpotent")
-    if cached is None:
-        cached = lower_central_series(group).terms[-1].group.is_trivial()
-        group._cache["nilpotent"] = cached
-    return cached
+    return lower_central_series(group).terms[-1].group.is_trivial()
 
 
 def is_perfect(group: GroupHandle) -> bool:
@@ -239,20 +218,28 @@ def is_normal_in(sub: GroupHandle, ambient: GroupHandle) -> bool:
                for s in sub.generators for g in ambient.generators)
 
 
+def normal_closure_descent(sub: GroupHandle, ambient: GroupHandle) -> SeriesRecord:
+    """H_0 = H, H_{i+1} = ⟨sub^{H_i}⟩ down to the stable term F(sub, H)."""
+    if not sub.is_subset_of(ambient):
+        raise ValueError("descent requires the subgroup to lie in the ambient group")
+    terms = [ambient]
+    while True:
+        nxt = normal_closure(sub, terms[-1])
+        if nxt.same_elements(terms[-1]):
+            break
+        terms.append(nxt)
+    return SeriesRecord("normal_closure_descent",
+                        tuple(Subgroup(ambient, t) for t in terms),
+                        length=len(terms) - 1)
+
+
 def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[GroupHandle]]:
     """Decide subnormality by iterated normal closure.
 
     The descent G ⊵ ⟨A^G⟩ ⊵ ⟨A^⟨A^G⟩⟩ ⊵ … reaches A exactly when A is
     subnormal, and the visited terms form a witness chain.
     """
-    if not sub.is_subset_of(group):
-        raise ValueError("subnormality test requires a subgroup of the group")
-    chain = [group]
-    while True:
-        nxt = normal_closure(sub, chain[-1])
-        if nxt.same_elements(chain[-1]):
-            break
-        chain.append(nxt)
+    chain = [t.group for t in normal_closure_descent(sub, group).terms]
     return chain[-1].same_elements(sub), chain
 
 
@@ -328,6 +315,7 @@ class NormalLattice:
         return len(self.members)
 
 
+@derived
 def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> NormalLattice:
     """Join-closure of the normal closures of class representatives.
 
@@ -335,9 +323,6 @@ def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> 
     join of the closures of its class representatives, so this enumerates
     the full normal lattice.
     """
-    cached = group._cache.get("normal_lattice")
-    if cached is not None:
-        return cached
     found: dict[str, GroupHandle] = {}
     trivial = GroupHandle.trivial(group.degree)
     found[trivial.fingerprint] = trivial
@@ -364,9 +349,7 @@ def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> 
     for m in members:
         if not is_normal_in(m, group):
             raise ConsistencyError("lattice member fails the normality check")
-    lattice = NormalLattice(group, tuple(Subgroup(group, m) for m in members))
-    group._cache["normal_lattice"] = lattice
-    return lattice
+    return NormalLattice(group, tuple(Subgroup(group, m) for m in members))
 
 
 def minimal_normals(group: GroupHandle) -> list[GroupHandle]:
@@ -381,13 +364,9 @@ def minimal_normals(group: GroupHandle) -> list[GroupHandle]:
     return out
 
 
+@derived
 def socle(group: GroupHandle) -> GroupHandle:
-    cached = group._cache.get("socle")
-    if cached is None:
-        mins = minimal_normals(group)
-        cached = _join_all(mins, group.degree, group.element_cap)
-        group._cache["socle"] = cached
-    return cached
+    return join(*minimal_normals(group), degree=group.degree, cap=group.element_cap)
 
 
 def is_simple(group: GroupHandle) -> bool:

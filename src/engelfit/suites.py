@@ -12,7 +12,7 @@ from .engel import (AutomorphismMap, baer_membership,
                     centralizer_intersection_check, commutator_descent,
                     engel_chain, j_set)
 from .errors import ConsistencyError, ResourceLimitError
-from .group import GroupHandle
+from .group import GroupHandle, clear_derived, derived
 from .perm import Permutation, format_cycles
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
 from .series import (fitting_subgroup, gen_fitting_height, gen_fitting_series,
@@ -96,9 +96,7 @@ def _sample_elements(entry: CorpusEntry, caps: Caps) -> tuple[list[Permutation],
     return reps, note
 
 
-# Per-element Engel facts are shared by the baer/thm11/thm12/cor15 suites;
-# key is (group fingerprint, element).  Values are equal whenever keys are,
-# so concurrent idempotent fills are safe.
+# Per-element Engel facts are shared by the baer/thm11/thm12/cor15 suites.
 @dataclass(frozen=True)
 class _ElementFacts:
     reaches_identity: bool
@@ -110,14 +108,8 @@ class _ElementFacts:
     min_lambda_at_stable: bool
 
 
-_ELEMENT_FACTS: dict[tuple[str, Permutation], _ElementFacts] = {}
-
-
+@derived
 def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFacts:
-    key = (group.fingerprint, x)
-    cached = _ELEMENT_FACTS.get(key)
-    if cached is not None:
-        return cached
     chain = engel_chain(group, x, k_cap=caps.k_cap)
     distinct: dict[str, GroupHandle] = {}
     for h in chain.generated:
@@ -126,7 +118,7 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
         distinct[group.fingerprint] = group
     hstars = {fp: gen_fitting_height(h) for fp, h in distinct.items()}
     lambdas = {fp: insoluble_length(h) for fp, h in distinct.items()}
-    facts = _ElementFacts(
+    return _ElementFacts(
         reaches_identity=chain.reaches_identity(),
         min_hstar=min(hstars.values()),
         min_lambda=min(lambdas.values()),
@@ -135,8 +127,6 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
         min_hstar_at_stable=min(hstars.values()) == gen_fitting_height(chain.stable_k),
         min_lambda_at_stable=min(lambdas.values()) == insoluble_length(chain.stable_k),
     )
-    _ELEMENT_FACTS[key] = facts
-    return facts
 
 
 def _suite_baer(entry: CorpusEntry, caps: Caps) -> _Outcome:
@@ -512,6 +502,7 @@ _SUITE_FNS: dict[str, Callable[[CorpusEntry, Caps], _Outcome]] = {
 
 def _run_entry(recipe: tuple, suite_ids: tuple[str, ...],
                caps: Caps) -> dict[str, _Outcome]:
+    clear_derived()
     entry = rebuild_entry(recipe)
     results: dict[str, _Outcome] = {}
     for suite in suite_ids:

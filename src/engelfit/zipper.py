@@ -1,4 +1,4 @@
-"""Full subgroup lattices, normal-closure descent, and the generation dichotomy."""
+"""Full subgroup lattices, normal-closure descent lemmas, and the generation dichotomy."""
 
 from __future__ import annotations
 
@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import PreconditionError, ResourceLimitError
-from .group import GroupHandle, generated_by
+from .group import GroupHandle, derived, generated_by
 from .perm import Permutation
-from .subgrp import Subgroup, SeriesRecord, is_normal_in, is_subnormal, normal_closure
+from .subgrp import (Subgroup, SeriesRecord, is_normal_in, is_subnormal, join,
+                     normal_closure, normal_closure_descent)
 
 __all__ = [
     "SubgroupLattice",
@@ -90,16 +91,18 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
     representative is extended by one generator per double coset, and each
     new class is expanded to its full conjugation orbit.  Every subgroup
     is reachable this way because any subgroup is a one-element extension
-    of any of its maximal subgroups.
+    of any of its maximal subgroups.  The order cap is checked outside the
+    cached lattice, so calls with different caps share one lattice.
     """
-    cached = group._cache.get("subgroup_lattice")
-    if cached is not None:
-        return cached
     if group.order > max_order:
         raise ResourceLimitError(
             f"lattice order cap {max_order} exceeded by group of order {group.order}",
             partial_count=0)
+    return _subgroup_lattice(group, member_cap)
 
+
+@derived
+def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
     seen: set[str] = set()
     class_reps: list[GroupHandle] = []
     members: list[GroupHandle] = []
@@ -142,26 +145,8 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
         supersets.append(ups)
     top = len(members) - 1
     maximal = tuple(a for a in range(len(members)) if supersets[a] == (top,))
-    lattice = SubgroupLattice(group,
-                              tuple(Subgroup(group, m) for m in members),
-                              tuple(supersets), maximal)
-    group._cache["subgroup_lattice"] = lattice
-    return lattice
-
-
-def normal_closure_descent(sub: GroupHandle, ambient: GroupHandle) -> SeriesRecord:
-    """H_0 = H, H_{i+1} = ⟨sub^{H_i}⟩ down to the stable term F(sub, H)."""
-    if not sub.is_subset_of(ambient):
-        raise ValueError("descent requires the subgroup to lie in the ambient group")
-    terms = [ambient]
-    while True:
-        nxt = normal_closure(sub, terms[-1])
-        if nxt.same_elements(terms[-1]):
-            break
-        terms.append(nxt)
-    return SeriesRecord("normal_closure_descent",
-                        tuple(Subgroup(ambient, t) for t in terms),
-                        length=len(terms) - 1)
+    return SubgroupLattice(group, tuple(Subgroup(group, m) for m in members),
+                           tuple(supersets), maximal)
 
 
 def descent_lemma_failures(sub: GroupHandle, series: SeriesRecord) -> list[str]:
@@ -217,10 +202,7 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
             continue
         if normal_closure(sub, h).same_elements(h):
             omega.append(h)
-    y_gens: list[Permutation] = list(sub.generators)
-    for h in omega:
-        y_gens.extend(h.generators)
-    y = generated_by(y_gens, degree=group.degree, cap=group.element_cap)
+    y = join(sub, *omega, cap=group.element_cap)
     maximal_over = [lattice.members[i].group for i in lattice.maximal
                     if sub_elems <= lattice.members[i].group.elements()]
     if y.same_elements(group):

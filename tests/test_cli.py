@@ -35,6 +35,11 @@ def test_exit_code_two_on_resource_limit(tmp_path):
     assert report.status == "partial"
 
 
+def test_exit_code_two_on_malformed_builtin_argument(capsys):
+    assert main(["run", "--suite", "baer", "--corpus", "builtin:cyclic(abc)"]) == 2
+    assert "takes one integer argument" in capsys.readouterr().err
+
+
 def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):
     # an engine bug must not be reported as a resource cap (exit 2)
     import engelfit.cli

@@ -61,6 +61,12 @@ def test_builtin_unknown_family():
         builtin("symmetric(9)")
 
 
+@pytest.mark.parametrize("spec", ["cyclic(abc)", "cyclic()", "symmetric(3,4)"])
+def test_builtin_integer_family_needs_exactly_one_integer(spec):
+    with pytest.raises(ParseError, match="takes one integer argument"):
+        builtin(spec)
+
+
 def test_parse_group_file_s3():
     text = """# tiny example
 name s3demo

@@ -3,7 +3,7 @@
 import pytest
 
 from engelfit.errors import PreconditionError
-from engelfit.group import close_group, generated_by
+from engelfit.group import GroupHandle, close_group, generated_by
 from engelfit.perm import Permutation, commutator, parse_cycles
 from engelfit.subgrp import (center, centralizer, commutator_subgroup,
                              derived_series, derived_subgroup, is_nilpotent,
@@ -57,6 +57,15 @@ def test_normal_closure_properties():
 def test_join_idempotent():
     v4 = generated_by([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
     assert join(v4, v4).same_elements(v4)
+
+
+def test_join_of_many_and_of_none():
+    a, b, c = (generated_by([parse_cycles(t, 4)]) for t in ("(1 2)", "(2 3)", "(3 4)"))
+    assert join(a, b, c).same_elements(sym(4))
+    empty = join(degree=5)
+    assert empty.degree == 5 and empty.is_trivial()
+    # a trivial group has no minimal normal subgroups, so its socle is an empty join
+    assert socle(GroupHandle.trivial(3)).same_elements(GroupHandle.trivial(3))
 
 
 def test_center_of_d4_by_element_scan():
