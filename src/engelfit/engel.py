@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
@@ -175,16 +175,16 @@ class EngelChain:
     """Iterated commutator data for one (group, actor) pair.
 
     ``sets[k]`` is the k-fold commutator set (``sets[0]`` is all of G); the
-    sequence is stored up to its first repetition, entering a cycle at
-    ``cycle_start``.  ``generated[k-1]`` is the subgroup generated by
-    ``sets[k]``; the descending generated chain stabilizes at ``stable_k``,
-    and ``descent`` is the subgroup series G ≥ [G,actor] ≥ [[G,actor],actor] ≥ ….
+    sets strictly descend and are stored up to the stable set ``sets[-1]``,
+    which the next commutator step maps onto itself.  ``generated[k-1]``
+    is the subgroup generated by ``sets[k]``; the descending generated
+    chain stabilizes at ``stable_k``, and ``descent`` is the subgroup
+    series G ≥ [G,actor] ≥ [[G,actor],actor] ≥ ….
     """
 
     group: GroupHandle
     actor: Actor
     sets: tuple[frozenset, ...]
-    cycle_start: int
     generated: tuple[GroupHandle, ...]
     stable_k: GroupHandle
     descent: SeriesRecord
@@ -194,54 +194,64 @@ class EngelChain:
         return self.descent.terms[-1].group
 
     def reaches_identity(self) -> bool:
-        """True when some commutator set with positive index collapses to {1}."""
-        return (any(len(s) == 1 for s in self.sets[1:])
-                or len(self.sets[self.cycle_start]) == 1)
+        """True when the stable commutator set is {1}."""
+        return len(self.sets[-1]) == 1
 
     def indices_attained_beyond(self, k: int) -> tuple[int, ...]:
         """Set indices j >= 1 whose value occurs for some iteration > k.
 
-        Pre-cycle indices qualify only if themselves > k; on-cycle values
-        recur for arbitrarily large iteration counts, so they all qualify.
+        Indices before the stable set qualify only if themselves > k; the
+        stable set recurs for every larger iteration count, so it qualifies.
         """
-        return tuple(j for j in range(1, len(self.sets))
-                     if j > k or j >= self.cycle_start)
+        last = len(self.sets) - 1
+        return tuple(j for j in range(1, len(self.sets)) if j > k or j == last)
 
 
-def engel_chain(group: GroupHandle, actor: Actor,
-                k_cap: Optional[int] = None) -> EngelChain:
-    """Iterate E ↦ {[e, actor]} from all of G until the set sequence repeats."""
+def _engel_sets(group: GroupHandle, actor: Actor,
+                k_cap: Optional[int]) -> Iterator[frozenset]:
+    """Yield E_1, E_2, … for E_0 = G and E_{k+1} = {[e, actor] : e ∈ E_k},
+    stopping before the first E_{k+1} = E_k.
+
+    E_1 ⊆ E_0, so by induction E_{k+1} = f(E_k) ⊆ f(E_{k-1}) = E_k for
+    f(e) = [e, actor]: the sets descend until they are stable and never
+    cycle.  A set that leaves its predecessor is an engine bug.
+    """
     if k_cap is None:
         k_cap = max(group.order, 4)
     if k_cap < 1:
         raise ValueError("k_cap must be at least 1")
     com = _commutator_fn(group, actor)
+    current = frozenset(group.elements())
+    for _ in range(k_cap):
+        nxt = frozenset(com(e) for e in current)
+        if not nxt <= current:
+            raise ConsistencyError("commutator set left the previous set")
+        if len(nxt) == len(current):
+            return
+        yield nxt
+        current = nxt
+    raise ResourceLimitError(
+        f"no stable commutator set within k_cap={k_cap} iterations",
+        partial_count=k_cap)
+
+
+def engel_chain(group: GroupHandle, actor: Actor,
+                k_cap: Optional[int] = None) -> EngelChain:
+    """Iterate E ↦ {[e, actor]} from all of G until the set is stable."""
     conj = _actor_conjugation(actor)
     sets: list[frozenset] = [frozenset(group.elements())]
-    seen: dict[frozenset, int] = {sets[0]: 0}
     generated: list[GroupHandle] = []
-    cycle_start = -1
-    for k in range(1, k_cap + 1):
-        nxt = frozenset(com(e) for e in sets[-1])
+    for nxt in _engel_sets(group, actor, k_cap):
         if frozenset(conj(e) for e in nxt) != nxt:
             raise ConsistencyError("commutator set is not actor-invariant")
-        earlier = seen.get(nxt)
-        if earlier is not None:
-            cycle_start = earlier
-            break
         sets.append(nxt)
-        seen[nxt] = k
         sub = generated_by(nxt, degree=group.degree, cap=group.element_cap)
         if generated and not sub.is_subset_of(generated[-1]):
             raise ConsistencyError("generated Engel chain is not descending")
         generated.append(sub)
-    else:
-        raise ResourceLimitError(
-            f"no cycle within k_cap={k_cap} commutator iterations",
-            partial_count=len(sets) - 1)
-    stable_k = group if cycle_start == 0 else generated[cycle_start - 1]
+    stable_k = generated[-1] if generated else group
     descent = commutator_descent(group, actor)
-    return EngelChain(group, actor, tuple(sets), cycle_start, tuple(generated),
+    return EngelChain(group, actor, tuple(sets), tuple(generated),
                       stable_k, descent)
 
 
@@ -268,25 +278,15 @@ def baer_membership(group: GroupHandle, x: Permutation,
     """True iff some iterated commutator set [G,_k x] collapses to {1}.
 
     This runs the bare set iteration without building the generated
-    subgroups, so it stays cheap inside exhaustive element scans.
+    subgroups, so it stays cheap inside exhaustive element scans.  It
+    answers as soon as a set is {1}, without the step that shows it stable.
     """
     if not group.contains(x):
         raise ValueError(f"{x} is not a member of the group")
-    if k_cap is None:
-        k_cap = max(group.order, 4)
-    com = _commutator_fn(group, x)
-    current = frozenset(group.elements())
-    seen = {current}
-    identity = group.identity
-    for _ in range(k_cap):
-        current = frozenset(com(e) for e in current)
-        if len(current) == 1 and identity in current:
+    for current in _engel_sets(group, x, k_cap):
+        if len(current) == 1:
             return True
-        if current in seen:
-            return False
-        seen.add(current)
-    raise ResourceLimitError(f"no cycle within k_cap={k_cap} iterations",
-                             partial_count=len(seen))
+    return group.is_trivial()  # E_0 = G is then the stable set
 
 
 @dataclass(frozen=True)

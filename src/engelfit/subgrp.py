@@ -27,7 +27,6 @@ __all__ = [
     "is_soluble",
     "is_nilpotent",
     "is_perfect",
-    "is_abelian",
     "is_normal_in",
     "is_subnormal",
     "normal_closure_descent",
@@ -205,11 +204,6 @@ def is_perfect(group: GroupHandle) -> bool:
     return derived_subgroup(group).same_elements(group)
 
 
-def is_abelian(group: GroupHandle) -> bool:
-    gens = group.generators
-    return all(a * b == b * a for a in gens for b in gens)
-
-
 def is_normal_in(sub: GroupHandle, ambient: GroupHandle) -> bool:
     if not sub.is_subset_of(ambient):
         return False
@@ -307,9 +301,6 @@ class NormalLattice:
 
     parent: GroupHandle
     members: tuple[Subgroup, ...]
-
-    def member_groups(self) -> tuple[GroupHandle, ...]:
-        return tuple(m.group for m in self.members)
 
     def __len__(self) -> int:
         return len(self.members)

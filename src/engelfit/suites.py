@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .corpus import CorpusEntry, rebuild_entry
 from .engel import (AutomorphismMap, baer_membership,
@@ -13,7 +14,7 @@ from .engel import (AutomorphismMap, baer_membership,
                     engel_chain, j_set)
 from .errors import ConsistencyError, ResourceLimitError
 from .group import GroupHandle, clear_derived, derived
-from .perm import Permutation, format_cycles
+from .perm import Permutation
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
 from .series import (fitting_subgroup, gen_fitting_height, gen_fitting_series,
                      generalized_fitting, insoluble_length,
@@ -70,30 +71,43 @@ class Caps:
 
 @dataclass
 class _Outcome:
+    """One suite's tally on one corpus entry.
+
+    Each case is either a pass or exactly one violation; ``violation``
+    alone records a failed check that is not a case.  Detail values are
+    rendered with ``str``, which is cycle notation for a permutation.
+    """
+
+    suite: str
+    entry: str
     cases: int = 0
     passes: int = 0
     violations: list[Violation] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     resource_hit: bool = False
 
+    def record(self, ok: bool, **detail) -> None:
+        self.cases += 1
+        if ok:
+            self.passes += 1
+        else:
+            self.violation(**detail)
 
-def _fmt(p: Permutation) -> str:
-    return format_cycles(p)
+    def violation(self, **detail) -> None:
+        self.violations.append(Violation(
+            self.suite, self.entry, tuple((k, str(v)) for k, v in detail.items())))
 
 
-def _violation(suite: str, group: str, **kv) -> Violation:
-    return Violation(suite, group, tuple((k, str(v)) for k, v in kv.items()))
-
-
-def _sample_elements(entry: CorpusEntry, caps: Caps) -> tuple[list[Permutation], Optional[str]]:
-    """All elements when the group is small, class representatives beyond."""
+def _sample_elements(entry: CorpusEntry, caps: Caps, notes: list[str]) -> list[Permutation]:
+    """All elements when the group is small, class representatives beyond
+    (with a note saying so)."""
     group = entry.group
     if group.order <= caps.exhaustive_cap:
-        return list(group.sorted_elements()), None
+        return list(group.sorted_elements())
     reps = list(group.conjugacy_classes().representatives)
-    note = (f"group {entry.name}: order {group.order} exceeds exhaustive cap "
-            f"{caps.exhaustive_cap}; checked {len(reps)} class representatives")
-    return reps, note
+    notes.append(f"group {entry.name}: order {group.order} exceeds exhaustive cap "
+                 f"{caps.exhaustive_cap}; checked {len(reps)} class representatives")
+    return reps
 
 
 # Per-element Engel facts are shared by the baer/thm11/thm12/cor15 suites.
@@ -129,28 +143,16 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
     )
 
 
-def _suite_baer(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_baer(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     fitting = fitting_subgroup(group)
-    xs, note = _sample_elements(entry, caps)
-    if note:
-        out.notes.append(note)
-    for x in xs:
-        out.cases += 1
+    for x in _sample_elements(entry, caps, out.notes):
         left = baer_membership(group, x, k_cap=caps.k_cap)
         right = fitting.contains(x)
-        if left == right:
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "baer", entry.name, x=_fmt(x),
-                engel_collapses=left, in_fitting=right))
-    return out
+        out.record(left == right, x=x, engel_collapses=left, in_fitting=right)
 
 
-def _suite_thm11(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_thm11(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     height = gen_fitting_height(group)
     terms = [t.group for t in gen_fitting_series(group).terms]
@@ -164,56 +166,30 @@ def _suite_thm11(entry: CorpusEntry, caps: Caps) -> _Outcome:
         else:
             q = quotient(group, term)
             fit_above.append(q.preimage_of(fitting_subgroup(q.image)))
-    xs, note = _sample_elements(entry, caps)
-    if note:
-        out.notes.append(note)
-    for x in xs:
+    for x in _sample_elements(entry, caps, out.notes):
         facts = _element_facts(group, x, caps)
         for h in range(height + 1):
-            out.cases += 1
             left = fit_above[h].contains(x)
-            right = facts.min_hstar <= h
-            if left == right:
-                out.passes += 1
-            else:
-                out.violations.append(_violation(
-                    "thm11", entry.name, x=_fmt(x), h=h,
-                    above_term=left, min_height=facts.min_hstar))
-    return out
+            out.record(left == (facts.min_hstar <= h), x=x, h=h,
+                       above_term=left, min_height=facts.min_hstar)
 
 
-def _suite_thm12(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_thm12(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     lam = insoluble_length(group)
     r_terms = [t.group for t in upper_insoluble_series(group, lam).terms]
-    xs, note = _sample_elements(entry, caps)
-    if note:
-        out.notes.append(note)
-    for x in xs:
+    for x in _sample_elements(entry, caps, out.notes):
         facts = _element_facts(group, x, caps)
         for h in range(lam + 1):
-            out.cases += 1
             left = r_terms[h].contains(x)
-            right = facts.min_lambda <= h
-            if left == right:
-                out.passes += 1
-            else:
-                out.violations.append(_violation(
-                    "thm12", entry.name, x=_fmt(x), h=h,
-                    in_upper_term=left, min_length=facts.min_lambda))
-    return out
+            out.record(left == (facts.min_lambda <= h), x=x, h=h,
+                       in_upper_term=left, min_length=facts.min_lambda)
 
 
-def _suite_cor15(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_cor15(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
-    xs, note = _sample_elements(entry, caps)
-    if note:
-        out.notes.append(note)
-    for x in xs:
+    for x in _sample_elements(entry, caps, out.notes):
         facts = _element_facts(group, x, caps)
-        out.cases += 1
         problems = []
         if not facts.subnormal_all:
             problems.append("generated Engel subgroup not subnormal")
@@ -223,21 +199,15 @@ def _suite_cor15(entry: CorpusEntry, caps: Caps) -> _Outcome:
             problems.append("min generalized Fitting height missed at stable term")
         if not facts.min_lambda_at_stable:
             problems.append("min insoluble length missed at stable term")
-        if problems:
-            out.violations.append(_violation(
-                "cor15", entry.name, x=_fmt(x), problems="; ".join(problems)))
-        else:
-            out.passes += 1
-    return out
+        out.record(not problems, x=x, problems="; ".join(problems))
 
 
-def _suite_thm13(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_thm13(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     if group.order > caps.lattice_max_order:
         out.notes.append(f"group {entry.name}: order {group.order} exceeds "
                          f"lattice cap {caps.lattice_max_order}; skipped")
-        return out
+        return
     lattice = all_subgroups(group, max_order=caps.lattice_max_order)
     for member in lattice.members:
         sub = member.group
@@ -245,61 +215,41 @@ def _suite_thm13(entry: CorpusEntry, caps: Caps) -> _Outcome:
             continue
         if not normal_closure(sub, group).same_elements(group):
             continue
-        out.cases += 1
         case = zipper_case(group, sub, lattice)
-        if case.branch == "dichotomy_failed" or case.lemma_failures:
-            out.violations.append(_violation(
-                "thm13", entry.name,
-                subgroup=" ".join(_fmt(g) for g in sub.generators),
-                branch=case.branch,
-                lemma_failures="; ".join(case.lemma_failures) or "none"))
-        else:
-            out.passes += 1
-    return out
+        out.record(case.branch != "dichotomy_failed" and not case.lemma_failures,
+                   subgroup=" ".join(map(str, sub.generators)), branch=case.branch,
+                   lemma_failures="; ".join(case.lemma_failures) or "none")
 
 
-def _automorphism_cases(entry: CorpusEntry) -> list[tuple[str, AutomorphismMap]]:
-    return list(entry.automorphisms)
-
-
-def _descent_is_whole(group: GroupHandle, alpha: AutomorphismMap) -> bool:
-    return commutator_descent(group, alpha).terms[-1].group.same_elements(group)
-
-
-def _suite_thmE(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _whole_descent_automorphisms(
+        entry: CorpusEntry, notes: Optional[list[str]], *,
+        involutory: bool) -> Iterator[tuple[str, AutomorphismMap]]:
+    """The entry's automorphisms a (only involutions when ``involutory``)
+    with [G,a] = G; each other one is skipped with a note when ``notes``
+    is given.  Lazy, so skip notes interleave with the caller's own."""
     group = entry.group
-    for name, alpha in _automorphism_cases(entry):
-        if not _descent_is_whole(group, alpha):
-            out.notes.append(f"group {entry.name}: automorphism {name} has "
-                             f"[G,a] smaller than G; skipped")
+    for name, alpha in entry.automorphisms:
+        if involutory and not alpha.is_involution():
             continue
-        out.cases += 1
+        if commutator_descent(group, alpha).terms[-1].group.same_elements(group):
+            yield name, alpha
+        elif notes is not None:
+            notes.append(f"group {entry.name}: automorphism {name} has "
+                         f"[G,a] smaller than G; skipped")
+
+
+def _suite_thmE(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
+    group = entry.group
+    for name, alpha in _whole_descent_automorphisms(entry, out.notes, involutory=False):
         chain = engel_chain(group, alpha, k_cap=caps.k_cap)
         bad = [k + 1 for k, h in enumerate(chain.generated)
                if not h.same_elements(group)]
-        if bad:
-            out.violations.append(_violation(
-                "thmE", entry.name, automorphism=name,
-                failing_k=",".join(map(str, bad))))
-        else:
-            out.passes += 1
-    return out
+        out.record(not bad, automorphism=name, failing_k=",".join(map(str, bad)))
 
 
-def _involutory_cases(entry: CorpusEntry) -> list[tuple[str, AutomorphismMap]]:
-    return [(n, a) for n, a in entry.automorphisms if a.is_involution()]
-
-
-def _suite_thmJ(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_thmJ(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
-    for name, alpha in _involutory_cases(entry):
-        if not _descent_is_whole(group, alpha):
-            out.notes.append(f"group {entry.name}: automorphism {name} has "
-                             f"[G,a] smaller than G; skipped")
-            continue
-        out.cases += 1
+    for name, alpha in _whole_descent_automorphisms(entry, out.notes, involutory=True):
         report = j_set(group, alpha)
         chain = engel_chain(group, alpha, k_cap=caps.k_cap)
         k = report.two_exponent
@@ -312,59 +262,30 @@ def _suite_thmJ(entry: CorpusEntry, caps: Caps) -> _Outcome:
                 problems.append(f"inverted set escapes commutator set at step {j}")
         if not report.generated_j.same_elements(group):
             problems.append("inverted odd-order set fails to generate the group")
-        if problems:
-            out.violations.append(_violation(
-                "thmJ", entry.name, automorphism=name,
-                j_size=len(report.j_elements), two_part=report.two_part,
-                problems="; ".join(problems)))
-        else:
-            out.passes += 1
+        out.record(not problems, automorphism=name,
+                   j_size=len(report.j_elements), two_part=report.two_part,
+                   problems="; ".join(problems))
+        if not problems:
             out.notes.append(f"group {entry.name}: automorphism {name}: "
                              f"|J|={len(report.j_elements)} two-part={report.two_part}")
-    return out
 
 
-def _suite_cor19(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_cor19(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
-    for name, alpha in _involutory_cases(entry):
-        if not _descent_is_whole(group, alpha):
-            continue
-        out.cases += 1
-        report = j_set(group, alpha)
+    for name, alpha in _whole_descent_automorphisms(entry, None, involutory=True):
         index = group.order // fitting_subgroup(group).order
-        j_size = len(report.j_elements)
-        bound = 1
-        for i in range(2, j_size + 1):  # exact integer factorial, no overflow
-            bound *= i
-        bound = bound ** 4
-        if index < bound:
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "cor19", entry.name, automorphism=name,
-                fitting_index=index, j_size=j_size))
-    return out
+        j_size = len(j_set(group, alpha).j_elements)
+        out.record(index < math.factorial(j_size) ** 4, automorphism=name,
+                   fitting_index=index, j_size=j_size)
 
 
-def _suite_lem31(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
+def _suite_lem31(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
-    for name, alpha in _involutory_cases(entry):
-        if not _descent_is_whole(group, alpha):
-            out.notes.append(f"group {entry.name}: automorphism {name} has "
-                             f"[G,a] smaller than G; skipped")
-            continue
-        out.cases += 1
+    for name, alpha in _whole_descent_automorphisms(entry, out.notes, involutory=True):
         check = centralizer_intersection_check(group, alpha)
-        if check.ok:
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "lem31", entry.name, automorphism=name,
-                intersection_order=check.intersection.order,
-                expected_order=check.expected.order))
-    return out
+        out.record(check.ok, automorphism=name,
+                   intersection_order=check.intersection.order,
+                   expected_order=check.expected.order)
 
 
 def _is_even(p: Permutation) -> bool:
@@ -401,17 +322,19 @@ _KNOWN_VALUES = {
 }
 
 
-def _suite_crosschecks(entry: CorpusEntry, caps: Caps) -> _Outcome:
-    out = _Outcome()
-    group = entry.group
-
-    out.cases += 1
+def _gen_fitting_dual_error(group: GroupHandle) -> Optional[ConsistencyError]:
+    """The disagreement of the two generalized Fitting routes, if any."""
     try:
         generalized_fitting(group, crosscheck=True)
-        out.passes += 1
     except ConsistencyError as exc:
-        out.violations.append(_violation(
-            "engine-crosschecks", entry.name, check="gen-fitting-dual", error=exc))
+        return exc
+    return None
+
+
+def _suite_crosschecks(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
+    group = entry.group
+    error = _gen_fitting_dual_error(group)
+    out.record(error is None, check="gen-fitting-dual", error=error)
 
     lam = insoluble_length(group)
     r_terms = [t.group for t in upper_insoluble_series(group, lam).terms]
@@ -421,36 +344,20 @@ def _suite_crosschecks(entry: CorpusEntry, caps: Caps) -> _Outcome:
                 f"group {entry.name}: upper-series recurrence at level {i} "
                 f"skipped (trivial term would need a degree-{group.order} regular action)")
             continue
-        out.cases += 1
         q = quotient(group, r_terms[i])
         r1_image = upper_insoluble_series(q.image, 1).terms[1].group
         pulled = q.preimage_of(r1_image)
-        if pulled.same_elements(r_terms[i + 1]):
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "engine-crosschecks", entry.name, check="upper-series-recurrence",
-                level=i, pulled_order=pulled.order,
-                expected_order=r_terms[i + 1].order))
+        out.record(pulled.same_elements(r_terms[i + 1]),
+                   check="upper-series-recurrence", level=i,
+                   pulled_order=pulled.order, expected_order=r_terms[i + 1].order)
 
     if group.order <= EXHAUSTIVE_SEARCH_CAP:
-        out.cases += 1
         mismatch = _subnormal_mismatch(group)
-        if mismatch is None:
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "engine-crosschecks", entry.name,
-                check="subnormality-vs-exhaustive", detail=mismatch))
+        out.record(mismatch is None, check="subnormality-vs-exhaustive",
+                   detail=mismatch)
 
     for label, check in _KNOWN_VALUES.get(entry.name, []):
-        out.cases += 1
-        if check(group):
-            out.passes += 1
-        else:
-            out.violations.append(_violation(
-                "engine-crosschecks", entry.name, check="known-value", value=label))
-    return out
+        out.record(check(group), check="known-value", value=label)
 
 
 def _subnormal_mismatch(group: GroupHandle) -> Optional[str]:
@@ -486,7 +393,7 @@ def _subnormal_mismatch(group: GroupHandle) -> Optional[str]:
     return None
 
 
-_SUITE_FNS: dict[str, Callable[[CorpusEntry, Caps], _Outcome]] = {
+_SUITE_FNS: dict[str, Callable[[CorpusEntry, Caps, _Outcome], None]] = {
     "baer": _suite_baer,
     "thm11": _suite_thm11,
     "thm12": _suite_thm12,
@@ -506,26 +413,23 @@ def _run_entry(recipe: tuple, suite_ids: tuple[str, ...],
     entry = rebuild_entry(recipe)
     results: dict[str, _Outcome] = {}
     for suite in suite_ids:
+        out = _Outcome(suite, entry.name)
         if entry.group.order > caps.max_order:
-            out = _Outcome()
             out.notes.append(f"group {entry.name}: order {entry.group.order} "
                              f"exceeds max order {caps.max_order}; skipped")
             results[suite] = out
             continue
         try:
-            out = _SUITE_FNS[suite](entry, caps)
+            _SUITE_FNS[suite](entry, caps, out)
             if caps.crosschecks and suite != "engine-crosschecks":
-                try:
-                    generalized_fitting(entry.group, crosscheck=True)
-                except ConsistencyError as exc:
-                    out.violations.append(_violation(
-                        suite, entry.name, check="gen-fitting-dual", error=exc))
-            results[suite] = out
+                error = _gen_fitting_dual_error(entry.group)
+                if error is not None:
+                    out.violation(check="gen-fitting-dual", error=error)
         except ResourceLimitError as exc:
-            out = _Outcome()
-            out.resource_hit = True
+            # partial counts are dropped: the suite reports only the cap
+            out = _Outcome(suite, entry.name, resource_hit=True)
             out.notes.append(f"group {entry.name}: resource limit: {exc}")
-            results[suite] = out
+        results[suite] = out
     return results
 
 
@@ -557,21 +461,13 @@ def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
 
     suite_results = []
     for suite in suite_ids:
-        cases = passes = 0
-        violations: list[Violation] = []
-        notes: list[str] = []
-        resource_hit = False
-        for entry in entries:
-            outcome = per_entry[entry.name][suite]
-            cases += outcome.cases
-            passes += outcome.passes
-            violations.extend(outcome.violations)
-            notes.extend(outcome.notes)
-            resource_hit = resource_hit or outcome.resource_hit
+        outs = [per_entry[entry.name][suite] for entry in entries]
         suite_results.append(SuiteResult(
-            suite=suite, statement=SUITE_STATEMENTS[suite], cases=cases,
-            passes=passes, violations=tuple(violations), notes=tuple(notes),
-            resource_hit=resource_hit))
+            suite=suite, statement=SUITE_STATEMENTS[suite],
+            cases=sum(o.cases for o in outs), passes=sum(o.passes for o in outs),
+            violations=tuple(v for o in outs for v in o.violations),
+            notes=tuple(n for o in outs for n in o.notes),
+            resource_hit=any(o.resource_hit for o in outs)))
     groups = tuple(GroupSummary(e.name, e.group.degree, e.group.order,
                                 e.group.fingerprint[:16])
                    for e in entries)
@@ -610,12 +506,12 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False,
     lines.append("  upper-insoluble-series " +
                  " <= ".join(str(t.order) for t in r.terms))
     if include_elements:
-        xs, note = _sample_elements(entry, caps)
-        if note:
-            lines.append(f"  note {note}")
+        notes: list[str] = []
+        xs = _sample_elements(entry, caps, notes)
+        lines.extend(f"  note {note}" for note in notes)
         for x in xs:
             facts = _element_facts(group, x, caps)
-            lines.append(f"  element {_fmt(x)} engel-collapse "
+            lines.append(f"  element {x} engel-collapse "
                          f"{'yes' if facts.reaches_identity else 'no'} "
                          f"min-height {facts.min_hstar} min-length {facts.min_lambda}")
     return "\n".join(lines) + "\n"

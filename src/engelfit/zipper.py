@@ -225,6 +225,9 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
                     f"descent value in a maximal of order {m.order}")
     unique_val = (unique_max_element_check(group, sub, lattice)
                   if maximal_over else False)
+    if unique_val != (len(maximal_over) == 1):
+        failures.append(f"{len(maximal_over)} maximal overgroups, but a unique "
+                        f"maximal descent value is {unique_val}")
     return ZipperCase(
         subgroup=Subgroup(group, sub),
         omega=tuple(Subgroup(group, h) for h in omega),

@@ -27,12 +27,15 @@ def test_run_reports_to_directory_with_convention(tmp_path):
 
 
 def test_exit_code_two_on_resource_limit(tmp_path):
-    # k-cap of 1 exhausts before any commutator cycle is found
+    # k-cap of 1 exhausts before the transpositions' Engel sets are stable
     code = main(["run", "--suite", "baer", "--corpus", "builtin:symmetric(3)",
                  "--k-cap", "1", "--report", str(tmp_path / "r.txt")])
     assert code == 2
     report = parse_report((tmp_path / "r.txt").read_text())
     assert report.status == "partial"
+    # the identity passes before the cap is hit; its count is discarded
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes, suite.resource_hit) == (0, 0, True)
 
 
 def test_exit_code_two_on_malformed_builtin_argument(capsys):

@@ -247,7 +247,38 @@ def test_fault_injection_shows_violation_payload(monkeypatch):
     report = run_suites(["baer"], [entry], Caps(), "faulty")
     suite = report.suites[0]
     assert suite.violations
-    keys = dict(suite.violations[0].detail)
-    assert "x" in keys and "engel_collapses" in keys and "in_fitting" in keys
+    # every element is a case: 1 and the transpositions pass, the two
+    # 3-cycles collapse outside the claimed F(G)
+    assert (suite.cases, suite.passes) == (6, 4)
+    assert ("  violation\n"
+            "    group s3\n"
+            "    kv x (1 2 3)\n"
+            "    kv engel_collapses True\n"
+            "    kv in_fitting False\n") in render_report(report)
     assert report.status == "fail"
     assert report.exit_code == 1
+
+
+def test_fault_injection_shows_automorphism_violation_payload(monkeypatch):
+    """A wrong Engel chain for an automorphism renders its failing steps."""
+    import dataclasses
+
+    import engelfit.suites as suites_mod
+    from engelfit.group import GroupHandle
+    from engelfit.suites import Caps, run_suites
+
+    real_chain = suites_mod.engel_chain
+
+    def wrong_chain(group, actor, k_cap=None):
+        chain = real_chain(group, actor, k_cap=k_cap)
+        trivial = GroupHandle.trivial(group.degree)
+        return dataclasses.replace(chain, generated=(trivial,) + chain.generated[1:])
+
+    monkeypatch.setattr(suites_mod, "engel_chain", wrong_chain)
+    report = run_suites(["thmE"], [builtin("alternating(5)", "a5")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (1, 0)
+    assert ("  violation\n"
+            "    group a5\n"
+            "    kv automorphism t12\n"
+            "    kv failing_k 1\n") in render_report(report)

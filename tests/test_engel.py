@@ -7,8 +7,8 @@ from engelfit.engel import (baer_membership, centralizer_intersection_check,
                             commutator_descent, commutator_with_actor,
                             engel_chain, fixed_subgroup, holomorph_extension,
                             inner, j_set, make_automorphism)
-from engelfit.errors import (AutomorphismError, PreconditionError,
-                             ResourceLimitError)
+from engelfit.errors import (AutomorphismError, ConsistencyError,
+                             PreconditionError, ResourceLimitError)
 from engelfit.group import close_group, generated_by
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.series import fitting_subgroup
@@ -117,6 +117,8 @@ def test_engel_chain_abelian_collapses_immediately():
         assert chain.sets[1] == frozenset([Permutation.identity(6)])
         assert chain.stable_k.is_trivial()
         assert chain.descent_stable.is_trivial()
+        # {1} is seen at the cap itself, with no further step to prove it stable
+        assert baer_membership(c6, x, k_cap=1) is True
 
 
 def test_engel_chain_set_recurrence():
@@ -128,6 +130,25 @@ def test_engel_chain_set_recurrence():
     for k in range(len(chain.sets) - 1):
         expected = frozenset(commutator_with_actor(s4, e, x) for e in chain.sets[k])
         assert chain.sets[k + 1] == expected
+        assert chain.sets[k + 1] < chain.sets[k]  # strict descent
+    last = chain.sets[-1]
+    assert frozenset(commutator_with_actor(s4, e, x) for e in last) == last
+    assert chain.stable_k is chain.generated[-1]
+
+
+def test_commutator_set_leaving_its_predecessor_is_an_engine_bug(monkeypatch):
+    # conjugating by a point outside {1,2,3} does not normalize A3, so
+    # the "commutators" leave the group and the descent check must fire
+    import engelfit.engel as engel_mod
+    a3 = close_group([parse_cycles("(1 2 3)", 4)])
+    outside = parse_cycles("(1 4)", 4)
+    monkeypatch.setattr(engel_mod, "_commutator_fn",
+                        lambda group, actor: lambda g: g.inverse() * g.conjugate(outside))
+    x = a3.generators[0]
+    with pytest.raises(ConsistencyError, match="left the previous set"):
+        engel_chain(a3, x)
+    with pytest.raises(ConsistencyError, match="left the previous set"):
+        baer_membership(a3, x)
 
 
 def test_engel_chain_generated_descending_and_subnormal():

@@ -131,6 +131,7 @@ def test_zipper_four_cycle_in_s4():
     assert case.branch == "unique_maximal"
     assert case.y_join.order == 4
     assert [m.order for m in case.maximal_over] == [8]
+    assert case.unique_max_descent_value
     assert case.lemma_failures == ()
 
 
@@ -149,6 +150,22 @@ def test_zipper_transposition_in_s4_joins_whole():
     case = zipper_case(s4, sub, all_subgroups(s4))
     assert case.branch == "join_is_whole"
     assert case.y_join.group.same_elements(s4)
+    assert len(case.maximal_over) > 1
+    assert not case.unique_max_descent_value
+
+
+def test_zipper_reports_a_wrong_unique_maximal_characterization(monkeypatch):
+    # the descent values have a unique maximal element exactly when one
+    # maximal subgroup contains A; a disagreement is a lemma failure
+    import engelfit.zipper as zipper_mod
+    s4 = sym(4)
+    lattice = all_subgroups(s4)
+    monkeypatch.setattr(zipper_mod, "unique_max_element_check",
+                        lambda group, sub, lattice=None: False)
+    sub = generated_by([parse_cycles("(1 2 3 4)", 4)])
+    case = zipper_case(s4, sub, lattice)
+    assert case.lemma_failures == (
+        "1 maximal overgroups, but a unique maximal descent value is False",)
 
 
 def test_zipper_precondition():
