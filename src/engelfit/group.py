@@ -5,11 +5,11 @@ from __future__ import annotations
 import functools
 import hashlib
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ConsistencyError, ResourceLimitError
-from .perm import Permutation
+from .perm import Permutation, clear_interned
 
 __all__ = [
     "ELEMENT_CAP",
@@ -25,9 +25,10 @@ __all__ = [
 ELEMENT_CAP = 200_000
 
 # Values of @derived functions, keyed by (function, element set of each
-# GroupHandle argument, the other arguments).  The suite runner clears it
-# at the start of each corpus entry, so every entry starts from the same
-# state in any worker and an entry's values are freed when the next starts.
+# GroupHandle argument, the other arguments).  The suite runner clears it,
+# with the permutation intern table, at the start of each corpus entry, so
+# every entry starts from the same state in any worker and an entry's
+# values are freed when the next starts.
 _DERIVED: dict[tuple, object] = {}
 
 
@@ -52,8 +53,10 @@ def derived(fn):
 
 
 def clear_derived() -> None:
-    """Drop every value cached by @derived functions."""
+    """Drop every value cached by @derived functions and every interned
+    permutation."""
     _DERIVED.clear()
+    clear_interned()
 
 
 class _Level:
@@ -177,10 +180,12 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class ConjugacyClassTable:
-    """Class representatives (lexicographically least members) and sizes."""
+    """Class representatives (lexicographically least members) and sizes,
+    and the representative of every element's class."""
 
     representatives: tuple[Permutation, ...]
     class_sizes: tuple[int, ...]
+    representative_of: dict[Permutation, Permutation] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.representatives)
@@ -288,11 +293,11 @@ class GroupHandle:
 
     @derived
     def conjugacy_classes(self) -> ConjugacyClassTable:
-        seen: set[Permutation] = set()
+        rep_of: dict[Permutation, Permutation] = {}
         reps: list[Permutation] = []
         sizes: list[int] = []
         for e in self.sorted_elements():
-            if e in seen:
+            if e in rep_of:
                 continue
             orbit = {e}
             queue = [e]
@@ -305,8 +310,8 @@ class GroupHandle:
                         queue.append(y)
             reps.append(e)
             sizes.append(len(orbit))
-            seen |= orbit
-        return ConjugacyClassTable(tuple(reps), tuple(sizes))
+            rep_of.update(dict.fromkeys(orbit, e))
+        return ConjugacyClassTable(tuple(reps), tuple(sizes), rep_of)
 
     def __repr__(self) -> str:
         known = len(self._elements) if self._elements is not None else "?"

@@ -131,12 +131,29 @@ class Permutation:
         return f"<perm {format_cycles(self)} deg={self.degree}>"
 
 
+# One object per image tuple built by _raw, so equal-set tests and dict
+# lookups between interned permutations stop at CPython's identity check
+# before calling __eq__.  `group.clear_derived` empties it at the start of
+# each corpus entry.  Equality never depends on it: permutations from the
+# validated constructor, from unpickling or from before a clear are not
+# interned and still compare and hash equal by their images.
+_INTERNED: dict[tuple[int, ...], Permutation] = {}
+
+
 def _raw(images: tuple[int, ...]) -> Permutation:
-    """Trusted constructor skipping bijection validation (hot path)."""
-    p = object.__new__(Permutation)
-    p.images = images
-    p._hash = hash(images)
+    """Trusted, interned constructor skipping bijection validation (hot path)."""
+    p = _INTERNED.get(images)
+    if p is None:
+        p = object.__new__(Permutation)
+        p.images = images
+        p._hash = hash(images)
+        _INTERNED[images] = p
     return p
+
+
+def clear_interned() -> None:
+    """Forget every interned permutation."""
+    _INTERNED.clear()
 
 
 _CYCLE = re.compile(r"\(([^()]*)\)")

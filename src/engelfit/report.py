@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -89,6 +90,22 @@ class VerdictReport:
                 "partial": EXIT_RESOURCE}[self.status]
 
 
+# Note and kv values are free text: a backslash, a line feed or a carriage
+# return in one is written as a two-character escape, so every value stays
+# on its own line.
+_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", "\r": "\\r"})
+_UNESCAPES = {"\\": "\\", "n": "\n", "r": "\r"}
+_ESCAPED = re.compile(r"\\(.?)", re.DOTALL)
+
+
+def _unescape(text: str) -> str:
+    def one(m: re.Match) -> str:
+        if m.group(1) not in _UNESCAPES:
+            raise ParseError(f"bad escape {m.group(0)!r} in report value {text!r}")
+        return _UNESCAPES[m.group(1)]
+    return _ESCAPED.sub(one, text)
+
+
 def render_report(report: VerdictReport) -> str:
     lines = [FORMAT_LINE,
              f"tool {report.tool}",
@@ -101,12 +118,12 @@ def render_report(report: VerdictReport) -> str:
         lines.append(f"  passes {s.passes}")
         lines.append(f"  resource-hit {'yes' if s.resource_hit else 'no'}")
         for note in s.notes:
-            lines.append(f"  note {note}")
+            lines.append(f"  note {note.translate(_ESCAPES)}")
         for v in s.violations:
             lines.append("  violation")
             lines.append(f"    group {v.group}")
             for key, value in v.detail:
-                lines.append(f"    kv {key} {value}")
+                lines.append(f"    kv {key} {value.translate(_ESCAPES)}")
     for g in report.groups:
         lines.append(f"group-summary {g.name}")
         lines.append(f"  degree {g.degree}")
@@ -117,7 +134,10 @@ def render_report(report: VerdictReport) -> str:
 
 
 def parse_report(text: str) -> VerdictReport:
-    lines = text.splitlines()
+    # split on line feeds only: str.splitlines also breaks at characters
+    # such as U+2028 that a value may hold unescaped
+    lines = [line.removesuffix("\r")
+             for line in text.removesuffix("\n").split("\n")]
     if not lines or lines[0] != FORMAT_LINE:
         raise ParseError("not a recognized report (missing format line)")
     tool = corpus = None
@@ -144,7 +164,7 @@ def parse_report(text: str) -> VerdictReport:
             group_fields = {"name": line[len("group-summary "):]}
             groups.append(None)  # placeholder replaced below
         elif line.startswith("  ") and group_fields is not None:
-            key, _, value = line.strip().partition(" ")
+            key, _, value = line[2:].partition(" ")
             group_fields[key] = value
             if key == "fingerprint":
                 groups[-1] = GroupSummary(group_fields["name"],
@@ -152,16 +172,16 @@ def parse_report(text: str) -> VerdictReport:
                                           int(group_fields["order"]),
                                           value)
         elif line.startswith("    ") and suites:
-            key, _, value = line.strip().partition(" ")
+            key, _, value = line[4:].partition(" ")
             if key == "group":
                 suites[-1]["violations"][-1]["group"] = value
             elif key == "kv":
                 k, _, v = value.partition(" ")
-                suites[-1]["violations"][-1]["detail"].append((k, v))
+                suites[-1]["violations"][-1]["detail"].append((k, _unescape(v)))
             else:
                 raise ParseError(f"unexpected violation field {key!r}")
         elif line.startswith("  ") and suites:
-            key, _, value = line.strip().partition(" ")
+            key, _, value = line[2:].partition(" ")
             if key == "statement":
                 suites[-1]["statement"] = value
             elif key == "cases":
@@ -171,7 +191,7 @@ def parse_report(text: str) -> VerdictReport:
             elif key == "resource-hit":
                 suites[-1]["resource_hit"] = value == "yes"
             elif key == "note":
-                suites[-1]["notes"].append(value)
+                suites[-1]["notes"].append(_unescape(value))
             elif key == "violation":
                 suites[-1]["violations"].append({"group": "", "detail": []})
             else:

@@ -314,25 +314,25 @@ def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> 
     join of the closures of its class representatives, so this enumerates
     the full normal lattice.
     """
-    found: dict[str, GroupHandle] = {}
+    found: dict[frozenset[Permutation], GroupHandle] = {}
     trivial = GroupHandle.trivial(group.degree)
-    found[trivial.fingerprint] = trivial
+    found[trivial.elements()] = trivial
     for rep in group.conjugacy_classes().representatives:
         closure = normal_closure(generated_by([rep], degree=group.degree,
                                               cap=group.element_cap), group)
-        found.setdefault(closure.fingerprint, closure)
+        found.setdefault(closure.elements(), closure)
     while True:
         snapshot = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
         added = False
         for i, a in enumerate(snapshot):
             for b in snapshot[i + 1:]:
                 j = join(a, b, cap=group.element_cap)
-                if j.fingerprint not in found:
+                if j.elements() not in found:
                     if len(found) >= count_cap:
                         raise ResourceLimitError(
                             f"normal lattice count cap {count_cap} exceeded",
                             partial_count=len(found))
-                    found[j.fingerprint] = j
+                    found[j.elements()] = j
                     added = True
         if not added:
             break

@@ -6,6 +6,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional
 
 from .corpus import CorpusEntry, rebuild_entry
@@ -98,16 +99,49 @@ class _Outcome:
             self.suite, self.entry, tuple((k, str(v)) for k, v in detail.items())))
 
 
-def _sample_elements(entry: CorpusEntry, caps: Caps, notes: list[str]) -> list[Permutation]:
-    """All elements when the group is small, class representatives beyond
-    (with a note saying so)."""
+def _sample_elements(entry: CorpusEntry, caps: Caps,
+                     notes: list[str]) -> Iterator[tuple[Permutation, Permutation]]:
+    """Pairs (x, representative of x's class), in sorted order of x.
+
+    Every element when the group is small; beyond the exhaustive cap each
+    class representative with itself (with a note saying so).
+    """
     group = entry.group
-    if group.order <= caps.exhaustive_cap:
-        return list(group.sorted_elements())
-    reps = list(group.conjugacy_classes().representatives)
-    notes.append(f"group {entry.name}: order {group.order} exceeds exhaustive cap "
-                 f"{caps.exhaustive_cap}; checked {len(reps)} class representatives")
-    return reps
+    classes = group.conjugacy_classes()
+    if group.order > caps.exhaustive_cap:
+        notes.append(f"group {entry.name}: order {group.order} exceeds exhaustive cap "
+                     f"{caps.exhaustive_cap}; checked {len(classes)} class representatives")
+        for rep in classes.representatives:
+            yield rep, rep
+        return
+    for x in group.sorted_elements():
+        yield x, classes.representative_of[x]
+
+
+def _by_class(entry: CorpusEntry, caps: Caps, notes: list[str],
+              fact: partial) -> Iterator[tuple[Permutation, object]]:
+    """Pairs (x, fact(x)) for the sampled x, evaluating `fact` once per class.
+
+    Conjugation by g in G carries the Engel sets [G,_k x] onto [G,_k x^g],
+    the subgroups they generate and the descent terms of x onto those of
+    x^g, and fixes F(G), F*_h(G) and R_h(G), which are normal.  So the
+    Baer test and every per-element fact is a class function, and its
+    value at the class representative is its value at x.  With
+    crosschecks on, the least non-representative of each class of size
+    > 1 is evaluated as well; a disagreement is an engine bug.
+    """
+    values: dict[Permutation, object] = {}
+    spot_checked: set[Permutation] = set()
+    for x, rep in _sample_elements(entry, caps, notes):
+        if rep not in values:
+            values[rep] = fact(rep)
+        if caps.crosschecks and x != rep and rep not in spot_checked:
+            spot_checked.add(rep)
+            if fact(x) != values[rep]:
+                raise ConsistencyError(
+                    f"{fact.func.__name__} differs between {x} and its class "
+                    f"representative {rep}")
+        yield x, values[rep]
 
 
 # Per-element Engel facts are shared by the baer/thm11/thm12/cor15 suites.
@@ -125,29 +159,34 @@ class _ElementFacts:
 @derived
 def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFacts:
     chain = engel_chain(group, x, k_cap=caps.k_cap)
-    distinct: dict[str, GroupHandle] = {}
+    distinct: dict[frozenset[Permutation], GroupHandle] = {}
     for h in chain.generated:
-        distinct.setdefault(h.fingerprint, h)
+        distinct.setdefault(h.elements(), h)
     if not distinct:  # trivial group: E_1 duplicates E_0 immediately
-        distinct[group.fingerprint] = group
-    hstars = {fp: gen_fitting_height(h) for fp, h in distinct.items()}
-    lambdas = {fp: insoluble_length(h) for fp, h in distinct.items()}
+        distinct[group.elements()] = group
+    hstars = [gen_fitting_height(h) for h in distinct.values()]
+    lambdas = [insoluble_length(h) for h in distinct.values()]
     return _ElementFacts(
         reaches_identity=chain.reaches_identity(),
-        min_hstar=min(hstars.values()),
-        min_lambda=min(lambdas.values()),
+        min_hstar=min(hstars),
+        min_lambda=min(lambdas),
         subnormal_all=all(is_subnormal(h, group)[0] for h in distinct.values()),
         stable_terms_equal=chain.descent_stable.same_elements(chain.stable_k),
-        min_hstar_at_stable=min(hstars.values()) == gen_fitting_height(chain.stable_k),
-        min_lambda_at_stable=min(lambdas.values()) == insoluble_length(chain.stable_k),
+        min_hstar_at_stable=min(hstars) == gen_fitting_height(chain.stable_k),
+        min_lambda_at_stable=min(lambdas) == insoluble_length(chain.stable_k),
     )
+
+
+def _facts_by_class(entry: CorpusEntry, caps: Caps,
+                    notes: list[str]) -> Iterator[tuple[Permutation, _ElementFacts]]:
+    return _by_class(entry, caps, notes, partial(_element_facts, entry.group, caps=caps))
 
 
 def _suite_baer(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     fitting = fitting_subgroup(group)
-    for x in _sample_elements(entry, caps, out.notes):
-        left = baer_membership(group, x, k_cap=caps.k_cap)
+    collapses = partial(baer_membership, group, k_cap=caps.k_cap)
+    for x, left in _by_class(entry, caps, out.notes, collapses):
         right = fitting.contains(x)
         out.record(left == right, x=x, engel_collapses=left, in_fitting=right)
 
@@ -166,8 +205,7 @@ def _suite_thm11(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
         else:
             q = quotient(group, term)
             fit_above.append(q.preimage_of(fitting_subgroup(q.image)))
-    for x in _sample_elements(entry, caps, out.notes):
-        facts = _element_facts(group, x, caps)
+    for x, facts in _facts_by_class(entry, caps, out.notes):
         for h in range(height + 1):
             left = fit_above[h].contains(x)
             out.record(left == (facts.min_hstar <= h), x=x, h=h,
@@ -178,8 +216,7 @@ def _suite_thm12(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     lam = insoluble_length(group)
     r_terms = [t.group for t in upper_insoluble_series(group, lam).terms]
-    for x in _sample_elements(entry, caps, out.notes):
-        facts = _element_facts(group, x, caps)
+    for x, facts in _facts_by_class(entry, caps, out.notes):
         for h in range(lam + 1):
             left = r_terms[h].contains(x)
             out.record(left == (facts.min_lambda <= h), x=x, h=h,
@@ -187,9 +224,7 @@ def _suite_thm12(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
 
 
 def _suite_cor15(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
-    group = entry.group
-    for x in _sample_elements(entry, caps, out.notes):
-        facts = _element_facts(group, x, caps)
+    for x, facts in _facts_by_class(entry, caps, out.notes):
         problems = []
         if not facts.subnormal_all:
             problems.append("generated Engel subgroup not subnormal")
@@ -507,10 +542,9 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False,
                  " <= ".join(str(t.order) for t in r.terms))
     if include_elements:
         notes: list[str] = []
-        xs = _sample_elements(entry, caps, notes)
+        scanned = list(_facts_by_class(entry, caps, notes))
         lines.extend(f"  note {note}" for note in notes)
-        for x in xs:
-            facts = _element_facts(group, x, caps)
+        for x, facts in scanned:
             lines.append(f"  element {x} engel-collapse "
                          f"{'yes' if facts.reaches_identity else 'no'} "
                          f"min-height {facts.min_hstar} min-length {facts.min_lambda}")

@@ -103,16 +103,16 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
 
 @derived
 def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
-    seen: set[str] = set()
+    seen: set[frozenset[Permutation]] = set()
     class_reps: list[GroupHandle] = []
     members: list[GroupHandle] = []
 
     def register(handle: GroupHandle) -> None:
-        if handle.fingerprint in seen:
+        if handle.elements() in seen:
             return
         orbit = _conjugate_orbit(group, handle)
         for h in orbit:
-            seen.add(h.fingerprint)
+            seen.add(h.elements())
             members.append(h)
         if len(members) > member_cap:
             raise ResourceLimitError(
@@ -249,10 +249,10 @@ def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
                     if sub_elems <= lattice.members[i].group.elements()]
     if not maximal_over:
         raise PreconditionError("the subgroup lies in no maximal subgroup")
-    values: dict[str, GroupHandle] = {}
+    values: dict[frozenset[Permutation], GroupHandle] = {}
     for m in maximal_over:
         v = normal_closure_descent(sub, m).terms[-1].group
-        values.setdefault(v.fingerprint, v)
+        values.setdefault(v.elements(), v)
     handles = list(values.values())
     top_count = sum(
         1 for v in handles

@@ -68,6 +68,25 @@ def test_analyze_s4(capsys):
     assert "insoluble-length 0" in out
 
 
+def test_analyze_elements_s4_is_pinned(capsys):
+    # the per-element lines read each element's facts from its class
+    # representative; the output is the one of the element-by-element scan
+    import hashlib
+    code = main(["analyze", "--corpus", "builtin:small-std", "--group", "s4",
+                 "--elements"])
+    assert code == 0
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert len(lines) == 37
+    assert lines[13:16] == [
+        "  element () engel-collapse yes min-height 0 min-length 0",
+        "  element (3 4) engel-collapse no min-height 2 min-length 0",
+        "  element (2 3) engel-collapse no min-height 2 min-length 0"]
+    assert "  element (1 3)(2 4) engel-collapse yes min-height 0 min-length 0" in lines
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4b2414cab83099467d2a76d263ff6f715675a0e6100c6eb32d8467ea06062664")
+
+
 def test_analyze_unknown_group():
     assert main(["analyze", "--corpus", "builtin:symmetric(4)",
                  "--group", "nope"]) == 2

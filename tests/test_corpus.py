@@ -1,6 +1,7 @@
 """Builtin families, .grp parsing, corpus loading, and report round-trips."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from engelfit.corpus import (MAX_DEGREE, builtin, get_corpus, load_corpus,
                              parse_group_file, serialize_group_file, small_std)
@@ -201,6 +202,29 @@ def test_report_round_trip():
     report = _sample_report()
     text = render_report(report)
     assert parse_report(text) == report
+
+
+@given(notes=st.lists(st.text(), max_size=4), values=st.lists(st.text(), max_size=4))
+def test_report_round_trip_with_arbitrary_text_values(notes, values):
+    detail = tuple((f"k{i}", v) for i, v in enumerate(values))
+    report = VerdictReport(corpus="demo", groups=(), suites=(
+        SuiteResult("baer", "statement", 1, 0,
+                    violations=(Violation("baer", "s3", detail),),
+                    notes=tuple(notes)),))
+    text = render_report(report)
+    # 12 fixed lines, one per note and one per kv value
+    assert text.count("\n") == 12 + len(notes) + len(values)
+    assert parse_report(text) == report
+
+
+def test_report_escapes_only_backslash_and_line_breaks():
+    report = VerdictReport(corpus="demo", groups=(), suites=(
+        SuiteResult("baer", "statement", 1, 1, (), notes=("a\\b\nc\rd é\t",)),))
+    text = render_report(report)
+    assert "  note a\\\\b\\nc\\rd é\t\n" in text
+    assert parse_report(text) == report
+    with pytest.raises(ParseError, match="bad escape"):
+        parse_report(text.replace("\\\\b", "\\b"))
 
 
 def test_report_status_reflects_violations():

@@ -1,6 +1,7 @@
 """The element-set cache behind @derived functions."""
 
 from engelfit import group as group_module
+from engelfit import perm as perm_module
 from engelfit.corpus import builtin
 from engelfit.group import close_group
 from engelfit.perm import Permutation, parse_cycles
@@ -29,10 +30,15 @@ def _cached_degrees() -> set[int]:
     return {p.degree for p in perms}
 
 
+def _interned_degrees() -> set[int]:
+    return {len(images) for images in perm_module._INTERNED}
+
+
 def test_run_suites_leaves_no_value_of_an_earlier_entry():
     # degree 5 occurs only in c5: s3's quotients act on 1, 2 or 6 points
     c5, s3 = builtin("cyclic(5)", "c5"), builtin("symmetric(3)", "s3")
     run_suites(["baer"], [c5], Caps(), "one")
-    assert 5 in _cached_degrees()
+    assert 5 in _cached_degrees() and 5 in _interned_degrees()
     run_suites(["baer"], [c5, s3], Caps(), "two")  # runs c5, then s3
     assert 3 in _cached_degrees() and 5 not in _cached_degrees()
+    assert 3 in _interned_degrees() and 5 not in _interned_degrees()

@@ -131,6 +131,23 @@ def test_conjugacy_classes_s4_against_brute_force():
         assert rep == min(orbit)
 
 
+@pytest.mark.parametrize("group", [
+    sym(4), alt(5), close_group([parse_cycles("(1 2 3 4)", 4)]),
+    close_group([parse_cycles("(1 2 3 4 5 6)", 6), parse_cycles("(2 6)(3 5)", 6)])],
+    ids=["s4", "a5", "c4", "d12"])
+def test_representative_map_covers_every_element_within_its_class(group):
+    table = group.conjugacy_classes()
+    rep_of = table.representative_of
+    assert rep_of.keys() == group.elements()
+    classes = _brute_force_classes(group)
+    for x, rep in rep_of.items():
+        assert rep in next(c for c in classes if x in c)
+    counts = {}
+    for rep in rep_of.values():
+        counts[rep] = counts.get(rep, 0) + 1
+    assert counts == dict(zip(table.representatives, table.class_sizes))
+
+
 def test_commuting_iff_trivial_commutator():
     for g in [sym(4), close_group([parse_cycles("(1 2 3 4 5)", 5),
                                    parse_cycles("(1 5)(2 4)", 5)])]:

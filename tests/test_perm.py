@@ -149,3 +149,39 @@ def test_conjugate_matches_definition(g, h):
 def test_compose_applies_left_then_right(g, h):
     for i in range(1, 7):
         assert compose(g, h).act(i) == h.act(g.act(i))
+
+
+def test_trusted_constructor_returns_one_object_per_image_tuple():
+    p = parse_cycles("(1 2 3)(4 5)", 5)
+    e = Permutation.identity(5)
+    assert (e * p) is (p * e) is p.inverse().inverse()
+    assert (e * p) is not p  # the validated constructor does not intern
+
+
+def _interned(images):
+    return Permutation.identity(len(images)) * Permutation(images)
+
+
+@pytest.mark.parametrize("route", ["validated", "pickled", "before-clear"])
+def test_a_permutation_outside_the_intern_table_equals_the_interned_one(route):
+    import pickle
+
+    from engelfit.group import clear_derived
+
+    images = (1, 2, 0, 4, 3)
+    if route == "validated":
+        other = Permutation(images)
+    elif route == "pickled":
+        other = pickle.loads(pickle.dumps(_interned(images)))
+    else:
+        other = _interned(images)
+        clear_derived()
+    interned = _interned(images)
+    assert other is not interned
+    assert other == interned and interned == other
+    assert not (other != interned) and hash(other) == hash(interned)
+    assert other in {interned} and interned in {other}
+    assert {other: "v"}[interned] == "v" and {interned: "v"}[other] == "v"
+    e = Permutation.identity(5)
+    assert frozenset([other, e]) == frozenset([interned, e])
+    assert other * e == interned and other.act(1) == interned.act(1) == 2
