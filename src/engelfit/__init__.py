@@ -8,16 +8,14 @@ the structural statements relating them over corpora of small groups.
 
 from .errors import (AutomorphismError, ConsistencyError, EngelfitError,
                      ParseError, PreconditionError, ResourceLimitError)
-from .perm import (Permutation, commutator, compose, element_order,
-                   format_cycles, p_part, parse_cycles)
+from .perm import Permutation, commutator, format_cycles, p_part, parse_cycles
 from .group import (ConjugacyClassTable, GroupHandle, StabilizerChain,
                     close_group, generated_by)
-from .subgrp import (NormalLattice, QuotientMap, SeriesRecord, Subgroup,
-                     center, centralizer, commutator_subgroup, derived_series,
-                     derived_subgroup, is_nilpotent, is_perfect, is_quasisimple,
-                     is_simple, is_soluble, is_subnormal, join, lower_central_series,
-                     minimal_normals, normal_closure, normal_core,
-                     normal_subgroups, quotient, socle, subgroup_of)
+from .subgrp import (QuotientMap, center, centralizer, commutator_subgroup,
+                     derived_series, derived_subgroup, is_nilpotent, is_perfect,
+                     is_quasisimple, is_simple, is_soluble, is_subnormal, join,
+                     lower_central_series, minimal_normals, normal_closure,
+                     normal_core, normal_subgroups, quotient, socle, subgroup_of)
 from .series import (CharacteristicProfile, characteristic_profile,
                      fitting_height, fitting_series, fitting_subgroup,
                      gen_fitting_height, gen_fitting_series,

@@ -55,7 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     corpus_name, entries = get_corpus(args.corpus)
     caps = Caps(max_order=args.max_order,
-                exhaustive_cap=2_000,
                 lattice_max_order=args.lattice_max_order,
                 k_cap=args.k_cap,
                 jobs=max(1, args.jobs),

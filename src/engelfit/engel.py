@@ -9,7 +9,7 @@ from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
 from .group import GroupHandle, close_group, generated_by
 from .perm import Permutation, p_part
-from .subgrp import SeriesRecord, Subgroup, center
+from .subgrp import center
 
 __all__ = [
     "AutomorphismMap",
@@ -187,11 +187,11 @@ class EngelChain:
     sets: tuple[frozenset, ...]
     generated: tuple[GroupHandle, ...]
     stable_k: GroupHandle
-    descent: SeriesRecord
+    descent: tuple[GroupHandle, ...]
 
     @property
     def descent_stable(self) -> GroupHandle:
-        return self.descent.terms[-1].group
+        return self.descent[-1]
 
     def reaches_identity(self) -> bool:
         """True when the stable commutator set is {1}."""
@@ -255,7 +255,7 @@ def engel_chain(group: GroupHandle, actor: Actor,
                       stable_k, descent)
 
 
-def commutator_descent(group: GroupHandle, actor: Actor) -> SeriesRecord:
+def commutator_descent(group: GroupHandle, actor: Actor) -> tuple[GroupHandle, ...]:
     """G ≥ [G,actor] ≥ [[G,actor],actor] ≥ … down to its stable term."""
     com = _commutator_fn(group, actor)
     terms = [group]
@@ -268,9 +268,7 @@ def commutator_descent(group: GroupHandle, actor: Actor) -> SeriesRecord:
         if not nxt.is_subset_of(current):
             raise ConsistencyError("commutator descent left the previous term")
         terms.append(nxt)
-    return SeriesRecord("engel_chain",
-                        tuple(Subgroup(group, t) for t in terms),
-                        length=len(terms) - 1)
+    return tuple(terms)
 
 
 def baer_membership(group: GroupHandle, x: Permutation,
@@ -337,8 +335,7 @@ class CentralizerCheck:
 def centralizer_intersection_check(group: GroupHandle,
                                    alpha: AutomorphismMap) -> CentralizerCheck:
     """Check ∩_{j∈J} C_G(α)^j = Z(G) ∩ C_G(α), given [G, α] = G."""
-    descent = commutator_descent(group, alpha)
-    if not descent.terms[-1].group.same_elements(group):
+    if not commutator_descent(group, alpha)[-1].same_elements(group):
         raise PreconditionError("requires [G, alpha] = G")
     report = j_set(group, alpha)
     centralizer_elems = report.fixed_points.elements()

@@ -270,10 +270,6 @@ class GroupHandle:
             return g in self._elements
         return self.chain.contains(g)
 
-    def chain_contains(self, g: Permutation) -> bool:
-        """Membership via the stabilizer chain, ignoring the element set."""
-        return self.chain.contains(g)
-
     @property
     def fingerprint(self) -> str:
         """Digest of the sorted element list; equal iff same element set."""

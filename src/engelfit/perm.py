@@ -13,9 +13,7 @@ __all__ = [
     "Permutation",
     "parse_cycles",
     "format_cycles",
-    "compose",
     "commutator",
-    "element_order",
     "p_part",
 ]
 
@@ -219,18 +217,9 @@ def format_cycles(p: Permutation) -> str:
     return "".join(parts) or "()"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: apply p first, then q."""
-    return p * q
-
-
 def commutator(g: Permutation, h: Permutation) -> Permutation:
     """[g, h] = g^-1 h^-1 g h."""
     return g.inverse() * g.conjugate(h)
-
-
-def element_order(g: Permutation) -> int:
-    return g.order()
 
 
 def p_part(g: Permutation, p: int) -> int:

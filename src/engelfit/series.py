@@ -7,9 +7,8 @@ from typing import Optional
 
 from .errors import ConsistencyError, PreconditionError
 from .group import GroupHandle, derived, generated_by
-from .subgrp import (SeriesRecord, Subgroup, centralizer, is_nilpotent,
-                     is_quasisimple, is_soluble, join, normal_subgroups,
-                     quotient, socle)
+from .subgrp import (centralizer, is_nilpotent, is_quasisimple, is_soluble,
+                     join, normal_subgroups, quotient, socle)
 
 __all__ = [
     "CharacteristicProfile",
@@ -37,7 +36,7 @@ def _is_prime_power(n: int, p: int) -> bool:
 
 
 def _join_members(group: GroupHandle, keep) -> GroupHandle:
-    picked = [m.group for m in normal_subgroups(group).members if keep(m.group)]
+    picked = [m for m in normal_subgroups(group) if keep(m)]
     return join(*picked, degree=group.degree, cap=group.element_cap)
 
 
@@ -81,8 +80,7 @@ def layer(group: GroupHandle) -> GroupHandle:
         return GroupHandle.trivial(group.degree)
     if is_quasisimple(group):
         return group
-    members = [m.group for m in normal_subgroups(group).members
-               if m.group.order < group.order]
+    members = [m for m in normal_subgroups(group) if m.order < group.order]
     maximal = [m for m in members
                if not any(m.order < other.order and m.is_subset_of(other)
                           for other in members)]
@@ -126,7 +124,7 @@ def generalized_fitting(group: GroupHandle, crosscheck: bool = False) -> GroupHa
     return product
 
 
-def _ascending_series(group: GroupHandle, step, kind: str) -> SeriesRecord:
+def _ascending_series(group: GroupHandle, step, kind: str) -> tuple[GroupHandle, ...]:
     """Iterate `step` (current term -> next term) from the bottom up to G."""
     terms: list[GroupHandle] = []
     current = GroupHandle.trivial(group.degree)
@@ -136,12 +134,11 @@ def _ascending_series(group: GroupHandle, step, kind: str) -> SeriesRecord:
             raise ConsistencyError(f"{kind} series stalled at order {current.order}")
         terms.append(nxt)
         current = nxt
-    return SeriesRecord(kind, tuple(Subgroup(group, t) for t in terms),
-                        length=len(terms))
+    return tuple(terms)
 
 
 @derived
-def gen_fitting_series(group: GroupHandle) -> SeriesRecord:
+def gen_fitting_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """F*_1 < F*_2 < … = G; the length is the generalized Fitting height."""
     def step(current: GroupHandle) -> GroupHandle:
         if current.is_trivial():
@@ -153,11 +150,11 @@ def gen_fitting_series(group: GroupHandle) -> SeriesRecord:
 
 
 def gen_fitting_height(group: GroupHandle) -> int:
-    return gen_fitting_series(group).length
+    return len(gen_fitting_series(group))
 
 
 @derived
-def fitting_series(group: GroupHandle) -> SeriesRecord:
+def fitting_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """F_1 < F_2 < … = G for a soluble group."""
     if not is_soluble(group):
         raise PreconditionError("Fitting series requires a soluble group")
@@ -172,7 +169,7 @@ def fitting_series(group: GroupHandle) -> SeriesRecord:
 
 
 def fitting_height(group: GroupHandle) -> int:
-    return fitting_series(group).length
+    return len(fitting_series(group))
 
 
 @derived
@@ -195,7 +192,8 @@ def insoluble_length(group: GroupHandle) -> int:
     return 1 + insoluble_length(quotient(group, top).image)
 
 
-def upper_insoluble_series(group: GroupHandle, h_max: Optional[int] = None) -> SeriesRecord:
+def upper_insoluble_series(group: GroupHandle,
+                           h_max: Optional[int] = None) -> tuple[GroupHandle, ...]:
     """R_0 ≤ R_1 ≤ … where R_i is the largest normal subgroup of insoluble length ≤ i."""
     if h_max is None:
         h_max = insoluble_length(group)
@@ -207,20 +205,18 @@ def upper_insoluble_series(group: GroupHandle, h_max: Optional[int] = None) -> S
         terms.append(r_h)
     if not terms[0].same_elements(soluble_radical(group)):
         raise ConsistencyError("R_0 differs from the soluble radical")
-    return SeriesRecord("insoluble_upper",
-                        tuple(Subgroup(group, t) for t in terms),
-                        length=h_max)
+    return tuple(terms)
 
 
 @dataclass(frozen=True)
 class CharacteristicProfile:
     """The characteristic subgroups and lengths of one group."""
 
-    fitting: Subgroup
-    layer: Subgroup
-    gen_fitting: Subgroup
-    soluble_radical: Subgroup
-    odd_core: Subgroup
+    fitting: GroupHandle
+    layer: GroupHandle
+    gen_fitting: GroupHandle
+    soluble_radical: GroupHandle
+    odd_core: GroupHandle
     fitting_height: Optional[int]
     gen_fitting_height: int
     insoluble_length: int
@@ -229,11 +225,11 @@ class CharacteristicProfile:
 def characteristic_profile(group: GroupHandle) -> CharacteristicProfile:
     soluble = is_soluble(group)
     return CharacteristicProfile(
-        fitting=Subgroup(group, fitting_subgroup(group)),
-        layer=Subgroup(group, layer(group)),
-        gen_fitting=Subgroup(group, generalized_fitting(group)),
-        soluble_radical=Subgroup(group, soluble_radical(group)),
-        odd_core=Subgroup(group, odd_core(group)),
+        fitting=fitting_subgroup(group),
+        layer=layer(group),
+        gen_fitting=generalized_fitting(group),
+        soluble_radical=soluble_radical(group),
+        odd_core=odd_core(group),
         fitting_height=fitting_height(group) if soluble else None,
         gen_fitting_height=gen_fitting_height(group),
         insoluble_length=insoluble_length(group),

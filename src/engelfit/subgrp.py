@@ -10,10 +10,7 @@ from .group import ELEMENT_CAP, GroupHandle, derived, generated_by
 from .perm import Permutation, commutator
 
 __all__ = [
-    "Subgroup",
-    "SeriesRecord",
     "QuotientMap",
-    "NormalLattice",
     "subgroup_of",
     "join",
     "normal_closure",
@@ -41,49 +38,13 @@ __all__ = [
 LATTICE_COUNT_CAP = 50_000
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup together with the group it lives in."""
-
-    parent: GroupHandle
-    group: GroupHandle
-
-    def __post_init__(self):
-        if self.parent.degree != self.group.degree:
-            raise ValueError("subgroup degree differs from parent degree")
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-
-@dataclass(frozen=True)
-class SeriesRecord:
-    """A named chain of subgroups with its characteristic length.
-
-    ``length`` is the count the series measures (height, insoluble length,
-    number of strict descent steps), fixed by the constructing operation.
-    """
-
-    kind: str
-    terms: tuple[Subgroup, ...]
-    length: int
-
-    KINDS = ("fitting", "generalized_fitting", "insoluble_upper", "derived",
-             "lower_central", "engel_chain", "normal_closure_descent")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown series kind {self.kind!r}")
-
-
-def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> Subgroup:
+def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> GroupHandle:
     """Build a subgroup of `parent`, checking every generator's membership."""
     gens = list(generators)
     for g in gens:
         if not parent.contains(g):
             raise ValueError(f"generator {g} is not a member of the parent group")
-    return Subgroup(parent, generated_by(gens, degree=parent.degree, cap=parent.element_cap))
+    return generated_by(gens, degree=parent.degree, cap=parent.element_cap)
 
 
 def join(*handles: GroupHandle, degree: Optional[int] = None,
@@ -166,38 +127,36 @@ def derived_subgroup(group: GroupHandle) -> GroupHandle:
     return commutator_subgroup(group, group, within=group)
 
 
-def derived_series(group: GroupHandle) -> SeriesRecord:
+def derived_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
+    """G > G' > G'' > … down to its stable term."""
     terms = [group]
     while True:
         nxt = derived_subgroup(terms[-1])
         if nxt.same_elements(terms[-1]):
             break
         terms.append(nxt)
-    return SeriesRecord("derived",
-                        tuple(Subgroup(group, t) for t in terms),
-                        length=len(terms) - 1)
+    return tuple(terms)
 
 
-def lower_central_series(group: GroupHandle) -> SeriesRecord:
+def lower_central_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
+    """G > [G,G] > [G,G,G] > … down to its stable term."""
     terms = [group]
     while True:
         nxt = commutator_subgroup(terms[-1], group, within=group)
         if nxt.same_elements(terms[-1]):
             break
         terms.append(nxt)
-    return SeriesRecord("lower_central",
-                        tuple(Subgroup(group, t) for t in terms),
-                        length=len(terms) - 1)
+    return tuple(terms)
 
 
 @derived
 def is_soluble(group: GroupHandle) -> bool:
-    return derived_series(group).terms[-1].group.is_trivial()
+    return derived_series(group)[-1].is_trivial()
 
 
 @derived
 def is_nilpotent(group: GroupHandle) -> bool:
-    return lower_central_series(group).terms[-1].group.is_trivial()
+    return lower_central_series(group)[-1].is_trivial()
 
 
 def is_perfect(group: GroupHandle) -> bool:
@@ -212,7 +171,8 @@ def is_normal_in(sub: GroupHandle, ambient: GroupHandle) -> bool:
                for s in sub.generators for g in ambient.generators)
 
 
-def normal_closure_descent(sub: GroupHandle, ambient: GroupHandle) -> SeriesRecord:
+def normal_closure_descent(sub: GroupHandle,
+                           ambient: GroupHandle) -> tuple[GroupHandle, ...]:
     """H_0 = H, H_{i+1} = ⟨sub^{H_i}⟩ down to the stable term F(sub, H)."""
     if not sub.is_subset_of(ambient):
         raise ValueError("descent requires the subgroup to lie in the ambient group")
@@ -222,9 +182,7 @@ def normal_closure_descent(sub: GroupHandle, ambient: GroupHandle) -> SeriesReco
         if nxt.same_elements(terms[-1]):
             break
         terms.append(nxt)
-    return SeriesRecord("normal_closure_descent",
-                        tuple(Subgroup(ambient, t) for t in terms),
-                        length=len(terms) - 1)
+    return tuple(terms)
 
 
 def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[GroupHandle]]:
@@ -233,7 +191,7 @@ def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[Group
     The descent G ⊵ ⟨A^G⟩ ⊵ ⟨A^⟨A^G⟩⟩ ⊵ … reaches A exactly when A is
     subnormal, and the visited terms form a witness chain.
     """
-    chain = [t.group for t in normal_closure_descent(sub, group).terms]
+    chain = list(normal_closure_descent(sub, group))
     return chain[-1].same_elements(sub), chain
 
 
@@ -295,20 +253,11 @@ def quotient(group: GroupHandle, kernel: GroupHandle) -> QuotientMap:
     return QuotientMap(group, kernel, image, tuple(reps), index)
 
 
-@dataclass(frozen=True)
-class NormalLattice:
-    """All normal subgroups of a group, sorted by (order, fingerprint)."""
-
-    parent: GroupHandle
-    members: tuple[Subgroup, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
 @derived
-def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> NormalLattice:
-    """Join-closure of the normal closures of class representatives.
+def normal_subgroups(group: GroupHandle,
+                     count_cap: int = LATTICE_COUNT_CAP) -> tuple[GroupHandle, ...]:
+    """Join-closure of the normal closures of class representatives,
+    sorted by (order, fingerprint).
 
     Every normal subgroup is a union of conjugacy classes and hence the
     join of the closures of its class representatives, so this enumerates
@@ -336,17 +285,16 @@ def normal_subgroups(group: GroupHandle, count_cap: int = LATTICE_COUNT_CAP) -> 
                     added = True
         if not added:
             break
-    members = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
+    members = tuple(sorted(found.values(), key=lambda h: (h.order, h.fingerprint)))
     for m in members:
         if not is_normal_in(m, group):
             raise ConsistencyError("lattice member fails the normality check")
-    return NormalLattice(group, tuple(Subgroup(group, m) for m in members))
+    return members
 
 
 def minimal_normals(group: GroupHandle) -> list[GroupHandle]:
     """Minimal nontrivial normal subgroups."""
-    members = [m.group for m in normal_subgroups(group).members
-               if not m.group.is_trivial()]
+    members = [m for m in normal_subgroups(group) if not m.is_trivial()]
     out = []
     for m in members:
         if not any(other.order < m.order and other.is_subset_of(m)

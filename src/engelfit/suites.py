@@ -55,6 +55,7 @@ SUITE_STATEMENTS = {
 }
 
 REGULAR_QUOTIENT_CAP = 500
+EXHAUSTIVE_CAP = 2_000
 EXHAUSTIVE_SEARCH_CAP = 100
 
 
@@ -63,7 +64,6 @@ class Caps:
     """Resource limits shared by all suites."""
 
     max_order: int = 200_000
-    exhaustive_cap: int = 2_000
     lattice_max_order: int = LATTICE_ORDER_CAP
     k_cap: Optional[int] = None
     jobs: int = 1
@@ -99,7 +99,7 @@ class _Outcome:
             self.suite, self.entry, tuple((k, str(v)) for k, v in detail.items())))
 
 
-def _sample_elements(entry: CorpusEntry, caps: Caps,
+def _sample_elements(entry: CorpusEntry,
                      notes: list[str]) -> Iterator[tuple[Permutation, Permutation]]:
     """Pairs (x, representative of x's class), in sorted order of x.
 
@@ -108,9 +108,9 @@ def _sample_elements(entry: CorpusEntry, caps: Caps,
     """
     group = entry.group
     classes = group.conjugacy_classes()
-    if group.order > caps.exhaustive_cap:
+    if group.order > EXHAUSTIVE_CAP:
         notes.append(f"group {entry.name}: order {group.order} exceeds exhaustive cap "
-                     f"{caps.exhaustive_cap}; checked {len(classes)} class representatives")
+                     f"{EXHAUSTIVE_CAP}; checked {len(classes)} class representatives")
         for rep in classes.representatives:
             yield rep, rep
         return
@@ -132,7 +132,7 @@ def _by_class(entry: CorpusEntry, caps: Caps, notes: list[str],
     """
     values: dict[Permutation, object] = {}
     spot_checked: set[Permutation] = set()
-    for x, rep in _sample_elements(entry, caps, notes):
+    for x, rep in _sample_elements(entry, notes):
         if rep not in values:
             values[rep] = fact(rep)
         if caps.crosschecks and x != rep and rep not in spot_checked:
@@ -194,7 +194,7 @@ def _suite_baer(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
 def _suite_thm11(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     height = gen_fitting_height(group)
-    terms = [t.group for t in gen_fitting_series(group).terms]
+    terms = gen_fitting_series(group)
     # fit_above[h] is the preimage of F(G / F*_h); membership of x there is
     # the left side of the equivalence at height h.
     fit_above: list[GroupHandle] = [fitting_subgroup(group)]
@@ -215,7 +215,7 @@ def _suite_thm11(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
 def _suite_thm12(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     lam = insoluble_length(group)
-    r_terms = [t.group for t in upper_insoluble_series(group, lam).terms]
+    r_terms = upper_insoluble_series(group, lam)
     for x, facts in _facts_by_class(entry, caps, out.notes):
         for h in range(lam + 1):
             left = r_terms[h].contains(x)
@@ -244,8 +244,7 @@ def _suite_thm13(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
                          f"lattice cap {caps.lattice_max_order}; skipped")
         return
     lattice = all_subgroups(group, max_order=caps.lattice_max_order)
-    for member in lattice.members:
-        sub = member.group
+    for sub in lattice.members:
         if sub.order >= group.order:
             continue
         if not normal_closure(sub, group).same_elements(group):
@@ -266,7 +265,7 @@ def _whole_descent_automorphisms(
     for name, alpha in entry.automorphisms:
         if involutory and not alpha.is_involution():
             continue
-        if commutator_descent(group, alpha).terms[-1].group.same_elements(group):
+        if commutator_descent(group, alpha)[-1].same_elements(group):
             yield name, alpha
         elif notes is not None:
             notes.append(f"group {entry.name}: automorphism {name} has "
@@ -372,7 +371,7 @@ def _suite_crosschecks(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     out.record(error is None, check="gen-fitting-dual", error=error)
 
     lam = insoluble_length(group)
-    r_terms = [t.group for t in upper_insoluble_series(group, lam).terms]
+    r_terms = upper_insoluble_series(group, lam)
     for i in range(lam):
         if r_terms[i].is_trivial() and group.order > REGULAR_QUOTIENT_CAP:
             out.notes.append(
@@ -380,7 +379,7 @@ def _suite_crosschecks(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
                 f"skipped (trivial term would need a degree-{group.order} regular action)")
             continue
         q = quotient(group, r_terms[i])
-        r1_image = upper_insoluble_series(q.image, 1).terms[1].group
+        r1_image = upper_insoluble_series(q.image, 1)[1]
         pulled = q.preimage_of(r1_image)
         out.record(pulled.same_elements(r_terms[i + 1]),
                    check="upper-series-recurrence", level=i,
@@ -398,7 +397,7 @@ def _suite_crosschecks(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
 def _subnormal_mismatch(group: GroupHandle) -> Optional[str]:
     """Compare descent subnormality with exhaustive chain search over the lattice."""
     lattice = all_subgroups(group, max_order=EXHAUSTIVE_SEARCH_CAP)
-    handles = [m.group for m in lattice.members]
+    handles = lattice.members
     sets = [h.elements() for h in handles]
     normal_in: dict[tuple[int, int], bool] = {}
 
@@ -468,11 +467,6 @@ def _run_entry(recipe: tuple, suite_ids: tuple[str, ...],
     return results
 
 
-def _worker(args):
-    recipe, suite_ids, caps = args
-    return recipe, _run_entry(recipe, suite_ids, caps)
-
-
 def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
                caps: Caps, corpus_name: str) -> VerdictReport:
     """Run the selected suites over a corpus and assemble the verdict report.
@@ -484,15 +478,14 @@ def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
     suite_ids = tuple(suite_ids)
     started = time.monotonic()
     entries = sorted(entries, key=lambda e: e.name)
-    tasks = [(e.recipe, suite_ids, caps) for e in entries]
-    per_entry: dict[str, dict[str, _Outcome]] = {}
-    if caps.jobs > 1 and len(tasks) > 1:
+    run = partial(_run_entry, suite_ids=suite_ids, caps=caps)
+    recipes = [e.recipe for e in entries]
+    if caps.jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=caps.jobs) as pool:
-            for recipe, results in pool.map(_worker, tasks):
-                per_entry[_recipe_name(recipe)] = results
+            results = list(pool.map(run, recipes))  # in input order
     else:
-        for task in tasks:
-            per_entry[_recipe_name(task[0])] = _run_entry(*task)
+        results = [run(recipe) for recipe in recipes]
+    per_entry = {e.name: outs for e, outs in zip(entries, results)}
 
     suite_results = []
     for suite in suite_ids:
@@ -509,10 +502,6 @@ def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
     return VerdictReport(corpus=corpus_name, groups=groups,
                          suites=tuple(suite_results),
                          elapsed=time.monotonic() - started)
-
-
-def _recipe_name(recipe: tuple) -> str:
-    return recipe[2] if recipe[0] == "builtin" else recipe[1]
 
 
 def analyze_text(entry: CorpusEntry, include_elements: bool = False,
@@ -536,10 +525,10 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False,
              f"  insoluble-length {profile.insoluble_length}"]
     series = gen_fitting_series(group)
     lines.append("  generalized-fitting-series " +
-                 (" < ".join(str(t.order) for t in series.terms) or "(empty)"))
+                 (" < ".join(str(t.order) for t in series) or "(empty)"))
     r = upper_insoluble_series(group)
     lines.append("  upper-insoluble-series " +
-                 " <= ".join(str(t.order) for t in r.terms))
+                 " <= ".join(str(t.order) for t in r))
     if include_elements:
         notes: list[str] = []
         scanned = list(_facts_by_class(entry, caps, notes))

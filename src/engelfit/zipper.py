@@ -8,8 +8,8 @@ from typing import Optional
 from .errors import PreconditionError, ResourceLimitError
 from .group import GroupHandle, derived, generated_by
 from .perm import Permutation
-from .subgrp import (Subgroup, SeriesRecord, is_normal_in, is_subnormal, join,
-                     normal_closure, normal_closure_descent)
+from .subgrp import (is_normal_in, is_subnormal, join, normal_closure,
+                     normal_closure_descent)
 
 __all__ = [
     "SubgroupLattice",
@@ -28,17 +28,11 @@ LATTICE_MEMBER_CAP = 20_000
 
 @dataclass(frozen=True)
 class SubgroupLattice:
-    """Every subgroup of the parent, with inclusion and maximal members.
+    """Every subgroup of a group, sorted by (order, fingerprint), and the
+    maximal proper subgroups among them in the same order."""
 
-    ``supersets[i]`` lists the indices of the strict overgroups of member
-    i; ``maximal`` indexes the maximal proper subgroups.  Members are
-    sorted by (order, fingerprint).
-    """
-
-    parent: GroupHandle
-    members: tuple[Subgroup, ...]
-    supersets: tuple[tuple[int, ...], ...]
-    maximal: tuple[int, ...]
+    members: tuple[GroupHandle, ...]
+    maximal: tuple[GroupHandle, ...]
 
     def __len__(self) -> int:
         return len(self.members)
@@ -136,33 +130,27 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
             register(generated_by(base.generators + (g,), cap=group.element_cap))
 
     members.sort(key=lambda h: (h.order, h.fingerprint))
-    element_sets = [m.elements() for m in members]
-    supersets: list[tuple[int, ...]] = []
-    for a in range(len(members)):
-        ups = tuple(b for b in range(len(members))
-                    if a != b and members[b].order % members[a].order == 0
-                    and element_sets[a] < element_sets[b])
-        supersets.append(ups)
-    top = len(members) - 1
-    maximal = tuple(a for a in range(len(members)) if supersets[a] == (top,))
-    return SubgroupLattice(group, tuple(Subgroup(group, m) for m in members),
-                           tuple(supersets), maximal)
+    proper = members[:-1]  # the group itself is the one member of top order
+    maximal = tuple(m for m in proper
+                    if not any(m.order < other.order and m.is_subset_of(other)
+                               for other in reversed(proper)))
+    return SubgroupLattice(tuple(members), maximal)
 
 
-def descent_lemma_failures(sub: GroupHandle, series: SeriesRecord) -> list[str]:
+def descent_lemma_failures(sub: GroupHandle,
+                           series: tuple[GroupHandle, ...]) -> list[str]:
     """Check the descent series facts: step normality, subnormality of every
     term in the top, and self-closure of the stable term.  Returns failure
     descriptions (empty when all hold)."""
     failures: list[str] = []
-    top = series.terms[0].group
-    groups = [t.group for t in series.terms]
-    for i in range(len(groups) - 1):
-        if not is_normal_in(groups[i + 1], groups[i]):
+    top = series[0]
+    for i in range(len(series) - 1):
+        if not is_normal_in(series[i + 1], series[i]):
             failures.append(f"term {i + 1} is not normal in term {i}")
-    for i, term in enumerate(groups):
+    for i, term in enumerate(series):
         if not is_subnormal(term, top)[0]:
             failures.append(f"term {i} is not subnormal in the top group")
-    stable = groups[-1]
+    stable = series[-1]
     if not normal_closure(sub, stable).same_elements(stable):
         failures.append("stable term is not its own closure of the subgroup")
     return failures
@@ -178,10 +166,8 @@ class ZipperCase:
     never expected).
     """
 
-    subgroup: Subgroup
-    omega: tuple[Subgroup, ...]
-    y_join: Subgroup
-    maximal_over: tuple[Subgroup, ...]
+    y_join: GroupHandle
+    maximal_over: tuple[GroupHandle, ...]
     branch: str
     lemma_failures: tuple[str, ...]
     unique_max_descent_value: bool
@@ -196,15 +182,13 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
         raise PreconditionError("requires the subgroup's normal closure to be the whole group")
     sub_elems = sub.elements()
     omega: list[GroupHandle] = []
-    for member in lattice.members:
-        h = member.group
+    for h in lattice.members:
         if h.order >= group.order or not sub_elems <= h.elements():
             continue
         if normal_closure(sub, h).same_elements(h):
             omega.append(h)
     y = join(sub, *omega, cap=group.element_cap)
-    maximal_over = [lattice.members[i].group for i in lattice.maximal
-                    if sub_elems <= lattice.members[i].group.elements()]
+    maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
     if y.same_elements(group):
         branch = "join_is_whole"
     elif len(maximal_over) == 1:
@@ -217,7 +201,7 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
         series = normal_closure_descent(sub, m)
         failures.extend(f"maximal {m.order}: {msg}"
                         for msg in descent_lemma_failures(sub, series))
-        stable = series.terms[-1].group.elements()
+        stable = series[-1].elements()
         for l in omega:
             if l.elements() <= m.elements() and not l.elements() <= stable:
                 failures.append(
@@ -229,10 +213,8 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
         failures.append(f"{len(maximal_over)} maximal overgroups, but a unique "
                         f"maximal descent value is {unique_val}")
     return ZipperCase(
-        subgroup=Subgroup(group, sub),
-        omega=tuple(Subgroup(group, h) for h in omega),
-        y_join=Subgroup(group, y),
-        maximal_over=tuple(Subgroup(group, m) for m in maximal_over),
+        y_join=y,
+        maximal_over=tuple(maximal_over),
         branch=branch,
         lemma_failures=tuple(failures),
         unique_max_descent_value=unique_val,
@@ -245,13 +227,12 @@ def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
     if lattice is None:
         lattice = all_subgroups(group)
     sub_elems = sub.elements()
-    maximal_over = [lattice.members[i].group for i in lattice.maximal
-                    if sub_elems <= lattice.members[i].group.elements()]
+    maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
     if not maximal_over:
         raise PreconditionError("the subgroup lies in no maximal subgroup")
     values: dict[frozenset[Permutation], GroupHandle] = {}
     for m in maximal_over:
-        v = normal_closure_descent(sub, m).terms[-1].group
+        v = normal_closure_descent(sub, m)[-1]
         values.setdefault(v.elements(), v)
     handles = list(values.values())
     top_count = sum(

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 verdict lines.  The full module exercises the complete small-std corpus.
 """
 
+import hashlib
 import time
 from contextlib import contextmanager
 
@@ -167,4 +168,8 @@ def test_criterion_11_determinism(corpus, tmp_path):
             assert report.status == "pass"
             texts.append(render_report(report))
         assert texts[0] == texts[1] == texts[2]
+        # the report contract: these bytes change only with a suite's verdicts
+        assert texts[0].count("\n") == 261
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == (
+            "38fdd281dd848caf8f1d5b47a55fb857708d8696dd7026e4587f2abb52821253")
         (tmp_path / "small-std-all-report.txt").write_text(texts[0])

@@ -260,7 +260,7 @@ def test_descent_stable_term_examples():
     s7 = builtin("symmetric(7)").group
     alpha = inner(s7, parse_cycles("(1 2)", 7))
     descent = commutator_descent(s7, alpha)
-    assert descent.terms[-1].group.order == 2520  # stabilizes at the even half
+    assert descent[-1].order == 2520  # stabilizes at the even half
 
 
 def test_holomorph_extension_c3_inversion():

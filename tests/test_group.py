@@ -53,8 +53,8 @@ def test_chain_membership_agrees_with_element_set():
     s4 = sym(4)
     a4 = alt(4)
     for p in map(Permutation, itertools.permutations(range(4))):
-        assert s4.chain_contains(p)
-        assert a4.chain_contains(p) == (p in a4.elements())
+        assert s4.chain.contains(p)
+        assert a4.chain.contains(p) == (p in a4.elements())
 
 
 def test_chain_base_is_ascending_moved_points():

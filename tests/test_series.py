@@ -28,9 +28,9 @@ def test_fitting_of_s4_is_v4():
 def test_fitting_contains_every_nilpotent_normal_member():
     s4 = sym(4)
     f = fitting_subgroup(s4)
-    for m in normal_subgroups(s4).members:
-        if is_nilpotent(m.group):
-            assert m.group.is_subset_of(f)
+    for m in normal_subgroups(s4):
+        if is_nilpotent(m):
+            assert m.is_subset_of(f)
     assert is_nilpotent(f)
 
 
@@ -82,14 +82,14 @@ def test_gen_fitting_self_bounding():
 
 def test_gen_fitting_series_of_s4():
     series = gen_fitting_series(sym(4))
-    assert [t.order for t in series.terms] == [4, 12, 24]
+    assert [t.order for t in series] == [4, 12, 24]
     assert gen_fitting_height(sym(4)) == 3
     assert fitting_height(sym(4)) == 3
 
 
 def test_gen_fitting_series_of_s5():
     series = gen_fitting_series(sym(5))
-    assert [t.order for t in series.terms] == [60, 120]
+    assert [t.order for t in series] == [60, 120]
     assert gen_fitting_height(sym(5)) == 2
 
 
@@ -98,7 +98,7 @@ def test_trivial_group_heights():
     assert gen_fitting_height(t) == 0
     assert fitting_height(t) == 0
     assert insoluble_length(t) == 0
-    assert gen_fitting_series(t).terms == ()
+    assert gen_fitting_series(t) == ()
 
 
 def test_fitting_series_matches_gen_fitting_for_soluble():
@@ -108,8 +108,7 @@ def test_fitting_series_matches_gen_fitting_for_soluble():
         assert is_soluble(g)
         fs = fitting_series(g)
         gs = gen_fitting_series(g)
-        assert [t.group.fingerprint for t in fs.terms] == \
-            [t.group.fingerprint for t in gs.terms]
+        assert [t.fingerprint for t in fs] == [t.fingerprint for t in gs]
         assert fitting_height(g) == gen_fitting_height(g)
 
 
@@ -128,12 +127,12 @@ def test_insoluble_length_values():
 
 def test_upper_insoluble_series_s5():
     series = upper_insoluble_series(sym(5))
-    assert [t.order for t in series.terms] == [1, 120]
+    assert [t.order for t in series] == [1, 120]
 
 
 def test_upper_insoluble_series_soluble_group():
     series = upper_insoluble_series(sym(4))
-    assert [t.order for t in series.terms] == [24]
+    assert [t.order for t in series] == [24]
 
 
 def test_r_terms_are_largest_with_bounded_length():
@@ -141,12 +140,12 @@ def test_r_terms_are_largest_with_bounded_length():
         g = builtin(spec).group
         lam = insoluble_length(g)
         series = upper_insoluble_series(g, lam)
-        members = normal_subgroups(g).members
-        for h, term in enumerate(series.terms):
-            assert insoluble_length(term.group) <= h
+        members = normal_subgroups(g)
+        for h, term in enumerate(series):
+            assert insoluble_length(term) <= h
             for m in members:
-                if insoluble_length(m.group) <= h:
-                    assert m.group.is_subset_of(term.group)
+                if insoluble_length(m) <= h:
+                    assert m.is_subset_of(term)
 
 
 def test_upper_series_recurrence():
@@ -156,9 +155,9 @@ def test_upper_series_recurrence():
         lam = insoluble_length(g)
         series = upper_insoluble_series(g, lam)
         for i in range(lam):
-            q = quotient(g, series.terms[i].group)
-            r1 = upper_insoluble_series(q.image, 1).terms[1].group
-            assert q.preimage_of(r1).same_elements(series.terms[i + 1].group)
+            q = quotient(g, series[i])
+            r1 = upper_insoluble_series(q.image, 1)[1]
+            assert q.preimage_of(r1).same_elements(series[i + 1])
 
 
 def test_heights_zero_iff_trivial_and_soluble():

@@ -107,13 +107,13 @@ def brute_derived(group):
 def test_derived_series_of_s4():
     s4 = sym(4)
     series = derived_series(s4)
-    assert [t.order for t in series.terms] == [24, 12, 4, 1]
+    assert [t.order for t in series] == [24, 12, 4, 1]
     assert is_soluble(s4)
     # oracle for first two steps
     d1 = brute_derived(s4)
-    assert series.terms[1].group.elements() == frozenset(d1)
-    d2 = brute_derived(series.terms[1].group)
-    assert series.terms[2].group.elements() == frozenset(d2)
+    assert series[1].elements() == frozenset(d1)
+    d2 = brute_derived(series[1])
+    assert series[2].elements() == frozenset(d2)
 
 
 def test_a5_perfect_by_brute_force():
@@ -189,12 +189,12 @@ def test_quotient_preimage_round_trip():
     v4 = generated_by([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
     q = quotient(s4, v4)
     assert q.preimage_of(q.image).same_elements(s4)
-    for member in normal_subgroups(q.image).members:
-        pulled = q.preimage_of(member.group)
+    for member in normal_subgroups(q.image):
+        pulled = q.preimage_of(member)
         back = generated_by([q.image_of(g) for g in pulled.generators],
                             degree=q.image.degree)
-        assert back.same_elements(member.group)
-        assert pulled.order == member.group.order * v4.order
+        assert back.same_elements(member)
+        assert pulled.order == member.order * v4.order
 
 
 def test_quotient_requires_normal_kernel():
@@ -204,14 +204,14 @@ def test_quotient_requires_normal_kernel():
 
 def test_quotient_order_product_invariant():
     s4 = sym(4)
-    for member in normal_subgroups(s4).members:
-        q = quotient(s4, member.group)
-        assert q.image.order * member.group.order == s4.order
+    for member in normal_subgroups(s4):
+        q = quotient(s4, member)
+        assert q.image.order * member.order == s4.order
 
 
 def test_normal_lattice_of_s4():
     lattice = normal_subgroups(sym(4))
-    assert [m.order for m in lattice.members] == [1, 4, 12, 24]
+    assert [m.order for m in lattice] == [1, 4, 12, 24]
 
 
 def test_normal_lattice_count_cap():
@@ -228,23 +228,21 @@ def test_normal_lattice_against_full_subgroup_scan():
     from engelfit.zipper import all_subgroups
     s4 = sym(4)
     full = all_subgroups(s4)
-    expected = sorted(m.group.fingerprint for m in full.members
-                      if is_normal_in(m.group, s4))
-    got = sorted(m.group.fingerprint for m in normal_subgroups(s4).members)
+    expected = sorted(m.fingerprint for m in full.members if is_normal_in(m, s4))
+    got = sorted(m.fingerprint for m in normal_subgroups(s4))
     assert got == expected
 
 
 def test_lattice_join_closed_and_conjugation_stable():
     s4 = sym(4)
     lattice = normal_subgroups(s4)
-    fps = {m.group.fingerprint for m in lattice.members}
-    for a in lattice.members:
-        for b in lattice.members:
-            assert join(a.group, b.group).fingerprint in fps
+    fps = {m.fingerprint for m in lattice}
+    for a in lattice:
+        for b in lattice:
+            assert join(a, b).fingerprint in fps
         for g in s4.generators:
-            conj = generated_by([x.conjugate(g) for x in a.group.generators],
-                                degree=4)
-            assert conj.fingerprint == a.group.fingerprint
+            conj = generated_by([x.conjugate(g) for x in a.generators], degree=4)
+            assert conj.fingerprint == a.fingerprint
 
 
 def test_minimal_normals_and_socle_s4():

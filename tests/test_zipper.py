@@ -34,7 +34,7 @@ def test_s3_subgroups():
     s3 = sym(3)
     lattice = all_subgroups(s3)
     assert len(lattice) == 6
-    maximal_orders = sorted(lattice.members[i].order for i in lattice.maximal)
+    maximal_orders = sorted(m.order for m in lattice.maximal)
     assert maximal_orders == [2, 2, 2, 3]
 
 
@@ -43,7 +43,7 @@ def test_s4_subgroups_against_brute_force():
     lattice = all_subgroups(s4)
     oracle = brute_force_subgroups(s4)
     assert len(lattice) == len(oracle) == 30
-    assert {m.group.elements() for m in lattice.members} == oracle
+    assert {m.elements() for m in lattice.members} == oracle
 
 
 def test_prime_cyclic_has_two_subgroups():
@@ -57,17 +57,17 @@ def test_a4_subgroups_against_brute_force():
     lattice = all_subgroups(a4)
     oracle = brute_force_subgroups(a4)
     assert len(lattice) == len(oracle) == 10
-    assert {m.group.elements() for m in lattice.members} == oracle
+    assert {m.elements() for m in lattice.members} == oracle
 
 
 def test_lattice_closed_under_join_and_intersection():
     d6 = close_group([parse_cycles("(1 2 3 4 5 6)", 6), parse_cycles("(2 6)(3 5)", 6)])
     lattice = all_subgroups(d6)
-    sets = {m.group.elements() for m in lattice.members}
+    sets = {m.elements() for m in lattice.members}
     for a in lattice.members:
         for b in lattice.members:
-            assert a.group.elements() & b.group.elements() in sets
-            assert join(a.group, b.group).elements() in sets
+            assert a.elements() & b.elements() in sets
+            assert join(a, b).elements() in sets
 
 
 def test_lattice_order_cap():
@@ -84,16 +84,16 @@ def test_descent_transposition_in_s4():
     s4 = sym(4)
     sub = generated_by([parse_cycles("(1 2)", 4)])
     series = normal_closure_descent(sub, s4)
-    assert [t.order for t in series.terms] == [24]  # closure is everything
-    assert series.length == 0
+    assert [t.order for t in series] == [24]  # closure is everything
+    assert len(series) == 1
 
 
 def test_descent_double_transposition_in_s4():
     s4 = sym(4)
     sub = generated_by([parse_cycles("(1 2)(3 4)", 4)])
     series = normal_closure_descent(sub, s4)
-    assert [t.order for t in series.terms] == [24, 4, 2]
-    assert series.terms[-1].group.same_elements(sub)
+    assert [t.order for t in series] == [24, 4, 2]
+    assert series[-1].same_elements(sub)
     assert descent_lemma_failures(sub, series) == []
 
 
@@ -101,8 +101,8 @@ def test_descent_from_itself_has_length_zero():
     s4 = sym(4)
     sub = generated_by([parse_cycles("(1 2 3)", 4)])
     series = normal_closure_descent(sub, sub)
-    assert series.length == 0
-    assert series.terms[0].group.same_elements(sub)
+    assert len(series) == 1
+    assert series[0].same_elements(sub)
 
 
 def test_descent_containment_guard():
@@ -113,11 +113,10 @@ def test_descent_containment_guard():
 def test_descent_lemma_on_many_pairs():
     s4 = sym(4)
     lattice = all_subgroups(s4)
-    for member in lattice.members:
-        sub = member.group
+    for sub in lattice.members:
         series = normal_closure_descent(sub, s4)
         assert descent_lemma_failures(sub, series) == []
-        stable = series.terms[-1].group
+        stable = series[-1]
         # stable term self-closes, and equals sub exactly when sub is subnormal
         assert normal_closure(sub, stable).same_elements(stable)
         assert stable.same_elements(sub) == is_subnormal(sub, s4)[0]
@@ -141,7 +140,7 @@ def test_zipper_transposition_in_s3():
     case = zipper_case(s3, sub, all_subgroups(s3))
     assert case.branch == "unique_maximal"
     assert case.y_join.order == 2
-    assert case.y_join.group.same_elements(sub)
+    assert case.y_join.same_elements(sub)
 
 
 def test_zipper_transposition_in_s4_joins_whole():
@@ -149,7 +148,7 @@ def test_zipper_transposition_in_s4_joins_whole():
     sub = generated_by([parse_cycles("(1 2)", 4)])
     case = zipper_case(s4, sub, all_subgroups(s4))
     assert case.branch == "join_is_whole"
-    assert case.y_join.group.same_elements(s4)
+    assert case.y_join.same_elements(s4)
     assert len(case.maximal_over) > 1
     assert not case.unique_max_descent_value
 
@@ -178,8 +177,7 @@ def test_zipper_precondition():
 def test_zipper_dichotomy_exhaustive_on_small_groups():
     for group in [sym(3), sym(4), alt(4), alt(5)]:
         lattice = all_subgroups(group)
-        for member in lattice.members:
-            sub = member.group
+        for sub in lattice.members:
             if sub.order >= group.order:
                 continue
             if not normal_closure(sub, group).same_elements(group):
@@ -209,16 +207,14 @@ def test_flavell_remark_on_subnormal_overgroups():
     # the descent value is A itself in those overgroups
     s4 = sym(4)
     lattice = all_subgroups(s4)
-    for member in lattice.members:
-        sub = member.group
+    for sub in lattice.members:
         if sub.order >= s4.order:
             continue
-        maximal_over = [lattice.members[i].group for i in lattice.maximal
-                        if sub.elements() <= lattice.members[i].group.elements()]
+        maximal_over = [m for m in lattice.maximal if sub.elements() <= m.elements()]
         not_subnormal = [m for m in maximal_over if not is_subnormal(sub, m)[0]]
         if len(not_subnormal) <= 1 and maximal_over:
             for m in maximal_over:
                 if m in not_subnormal:
                     continue
-                stable = normal_closure_descent(sub, m).terms[-1].group
+                stable = normal_closure_descent(sub, m)[-1]
                 assert stable.same_elements(sub)
