@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
-from .group import GroupHandle, close_group, generated_by
+from .group import GroupHandle, close_group, derived, generated_by
 from .perm import Permutation, p_part
 from .subgrp import center
 
@@ -174,24 +174,15 @@ def commutator_with_actor(group: GroupHandle, g: Permutation, actor: Actor) -> P
 class EngelChain:
     """Iterated commutator data for one (group, actor) pair.
 
-    ``sets[k]`` is the k-fold commutator set (``sets[0]`` is all of G); the
-    sets strictly descend and are stored up to the stable set ``sets[-1]``,
-    which the next commutator step maps onto itself.  ``generated[k-1]``
-    is the subgroup generated by ``sets[k]``; the descending generated
-    chain stabilizes at ``stable_k``, and ``descent`` is the subgroup
-    series G ≥ [G,actor] ≥ [[G,actor],actor] ≥ ….
+    ``sets`` is the Engel walk of ``_engel_sets``: ``sets[0]`` is all of
+    G, the sets strictly descend, and ``sets[-1]`` is the stable set.
+    ``generated[k-1]`` is the subgroup generated by ``sets[k]``; the
+    descending generated chain stabilizes at ``stable_k``.
     """
 
-    group: GroupHandle
-    actor: Actor
     sets: tuple[frozenset, ...]
     generated: tuple[GroupHandle, ...]
     stable_k: GroupHandle
-    descent: tuple[GroupHandle, ...]
-
-    @property
-    def descent_stable(self) -> GroupHandle:
-        return self.descent[-1]
 
     def reaches_identity(self) -> bool:
         """True when the stable commutator set is {1}."""
@@ -207,54 +198,58 @@ class EngelChain:
         return tuple(j for j in range(1, len(self.sets)) if j > k or j == last)
 
 
+@derived
 def _engel_sets(group: GroupHandle, actor: Actor,
-                k_cap: Optional[int]) -> Iterator[frozenset]:
-    """Yield E_1, E_2, … for E_0 = G and E_{k+1} = {[e, actor] : e ∈ E_k},
-    stopping before the first E_{k+1} = E_k.
+                k_cap: Optional[int]) -> tuple[frozenset, ...]:
+    """The Engel walk E_0 = G, E_1, … with E_{k+1} = {[e, actor] : e ∈ E_k},
+    up to the first set that the next step fixes.
 
     E_1 ⊆ E_0, so by induction E_{k+1} = f(E_k) ⊆ f(E_{k-1}) = E_k for
     f(e) = [e, actor]: the sets descend until they are stable and never
-    cycle.  A set that leaves its predecessor is an engine bug.
+    cycle.  A set that leaves its predecessor is an engine bug.  Every set
+    holds 1 and [1, actor] = 1, so the walk ends at {1} without a further
+    step; otherwise it ends before the first repeat.  More than ``k_cap``
+    steps raise ``ResourceLimitError``.  Callers pass ``k_cap``
+    positionally, so the Baer test and the Engel chain share one walk.
     """
     if k_cap is None:
         k_cap = max(group.order, 4)
     if k_cap < 1:
         raise ValueError("k_cap must be at least 1")
     com = _commutator_fn(group, actor)
-    current = frozenset(group.elements())
-    for _ in range(k_cap):
-        nxt = frozenset(com(e) for e in current)
-        if not nxt <= current:
+    walk = [frozenset(group.elements())]
+    while len(walk[-1]) > 1:
+        if len(walk) > k_cap:
+            raise ResourceLimitError(
+                f"no stable commutator set within k_cap={k_cap} iterations",
+                partial_count=k_cap)
+        nxt = frozenset(com(e) for e in walk[-1])
+        if not nxt <= walk[-1]:
             raise ConsistencyError("commutator set left the previous set")
-        if len(nxt) == len(current):
-            return
-        yield nxt
-        current = nxt
-    raise ResourceLimitError(
-        f"no stable commutator set within k_cap={k_cap} iterations",
-        partial_count=k_cap)
+        if len(nxt) == len(walk[-1]):
+            break
+        walk.append(nxt)
+    return tuple(walk)
 
 
 def engel_chain(group: GroupHandle, actor: Actor,
                 k_cap: Optional[int] = None) -> EngelChain:
-    """Iterate E ↦ {[e, actor]} from all of G until the set is stable."""
+    """The Engel walk of (group, actor) with the subgroups its sets generate."""
     conj = _actor_conjugation(actor)
-    sets: list[frozenset] = [frozenset(group.elements())]
+    sets = _engel_sets(group, actor, k_cap)
     generated: list[GroupHandle] = []
-    for nxt in _engel_sets(group, actor, k_cap):
+    for nxt in sets[1:]:
         if frozenset(conj(e) for e in nxt) != nxt:
             raise ConsistencyError("commutator set is not actor-invariant")
-        sets.append(nxt)
         sub = generated_by(nxt, degree=group.degree, cap=group.element_cap)
         if generated and not sub.is_subset_of(generated[-1]):
             raise ConsistencyError("generated Engel chain is not descending")
         generated.append(sub)
     stable_k = generated[-1] if generated else group
-    descent = commutator_descent(group, actor)
-    return EngelChain(group, actor, tuple(sets), tuple(generated),
-                      stable_k, descent)
+    return EngelChain(sets, tuple(generated), stable_k)
 
 
+@derived
 def commutator_descent(group: GroupHandle, actor: Actor) -> tuple[GroupHandle, ...]:
     """G ≥ [G,actor] ≥ [[G,actor],actor] ≥ … down to its stable term."""
     com = _commutator_fn(group, actor)
@@ -275,16 +270,12 @@ def baer_membership(group: GroupHandle, x: Permutation,
                     k_cap: Optional[int] = None) -> bool:
     """True iff some iterated commutator set [G,_k x] collapses to {1}.
 
-    This runs the bare set iteration without building the generated
-    subgroups, so it stays cheap inside exhaustive element scans.  It
-    answers as soon as a set is {1}, without the step that shows it stable.
+    This reads the Engel walk without building the generated subgroups,
+    so it stays cheap inside exhaustive element scans.
     """
     if not group.contains(x):
         raise ValueError(f"{x} is not a member of the group")
-    for current in _engel_sets(group, x, k_cap):
-        if len(current) == 1:
-            return True
-    return group.is_trivial()  # E_0 = G is then the stable set
+    return len(_engel_sets(group, x, k_cap)[-1]) == 1
 
 
 @dataclass(frozen=True)
@@ -302,6 +293,7 @@ class InvolutionReport:
         return self.two_part.bit_length() - 1
 
 
+@derived
 def j_set(group: GroupHandle, alpha: AutomorphismMap) -> InvolutionReport:
     """Collect {g of odd order : α(g) = g^-1} along with the 2-part bound.
 

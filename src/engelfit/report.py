@@ -133,6 +133,13 @@ def render_report(report: VerdictReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _count(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key} {value!r} is not an integer") from None
+
+
 def parse_report(text: str) -> VerdictReport:
     # split on line feeds only: str.splitlines also breaks at characters
     # such as U+2028 that a value may hold unescaped
@@ -143,7 +150,7 @@ def parse_report(text: str) -> VerdictReport:
     tool = corpus = None
     status_claimed = None
     suites: list[dict] = []
-    groups: list[GroupSummary] = []
+    groups: list[dict] = []
     group_fields: Optional[dict] = None
     i = 1
     while i < len(lines):
@@ -162,17 +169,14 @@ def parse_report(text: str) -> VerdictReport:
             group_fields = None
         elif line.startswith("group-summary "):
             group_fields = {"name": line[len("group-summary "):]}
-            groups.append(None)  # placeholder replaced below
+            groups.append(group_fields)
         elif line.startswith("  ") and group_fields is not None:
             key, _, value = line[2:].partition(" ")
             group_fields[key] = value
-            if key == "fingerprint":
-                groups[-1] = GroupSummary(group_fields["name"],
-                                          int(group_fields["degree"]),
-                                          int(group_fields["order"]),
-                                          value)
         elif line.startswith("    ") and suites:
             key, _, value = line[4:].partition(" ")
+            if not suites[-1]["violations"]:
+                raise ParseError(f"violation field {key!r} before any violation")
             if key == "group":
                 suites[-1]["violations"][-1]["group"] = value
             elif key == "kv":
@@ -184,10 +188,8 @@ def parse_report(text: str) -> VerdictReport:
             key, _, value = line[2:].partition(" ")
             if key == "statement":
                 suites[-1]["statement"] = value
-            elif key == "cases":
-                suites[-1]["cases"] = int(value)
-            elif key == "passes":
-                suites[-1]["passes"] = int(value)
+            elif key in ("cases", "passes"):
+                suites[-1][key] = _count(key, value)
             elif key == "resource-hit":
                 suites[-1]["resource_hit"] = value == "yes"
             elif key == "note":
@@ -200,16 +202,23 @@ def parse_report(text: str) -> VerdictReport:
             raise ParseError(f"unexpected report line {line!r}")
     if tool is None or corpus is None:
         raise ParseError("report is missing tool or corpus line")
-    built_suites = tuple(
-        SuiteResult(suite=s["suite"], statement=s["statement"],
-                    cases=s["cases"], passes=s["passes"],
-                    violations=tuple(Violation(s["suite"], v["group"],
-                                               tuple(v["detail"]))
-                                     for v in s["violations"]),
-                    notes=tuple(s["notes"]),
-                    resource_hit=s.get("resource_hit", False))
-        for s in suites)
-    report = VerdictReport(corpus=corpus, groups=tuple(groups),
+    try:
+        built_suites = tuple(
+            SuiteResult(suite=s["suite"], statement=s["statement"],
+                        cases=s["cases"], passes=s["passes"],
+                        violations=tuple(Violation(s["suite"], v["group"],
+                                                   tuple(v["detail"]))
+                                         for v in s["violations"]),
+                        notes=tuple(s["notes"]),
+                        resource_hit=s.get("resource_hit", False))
+            for s in suites)
+        built_groups = tuple(
+            GroupSummary(g["name"], _count("degree", g["degree"]),
+                         _count("order", g["order"]), g["fingerprint"])
+            for g in groups)
+    except KeyError as exc:
+        raise ParseError(f"a suite or group-summary has no {exc.args[0]} line") from None
+    report = VerdictReport(corpus=corpus, groups=built_groups,
                            suites=built_suites, tool=tool)
     if status_claimed != report.status:
         raise ParseError(f"status line {status_claimed!r} disagrees with content")

@@ -88,6 +88,7 @@ def layer(group: GroupHandle) -> GroupHandle:
                 cap=group.element_cap)
 
 
+@derived
 def _gen_fitting_by_socle(group: GroupHandle) -> GroupHandle:
     """Independent route to F*(G): pull back the socle of C(F)F/F.
 
@@ -108,20 +109,9 @@ def _gen_fitting_by_socle(group: GroupHandle) -> GroupHandle:
 
 
 @derived
-def _gen_fitting_by_product(group: GroupHandle) -> GroupHandle:
+def generalized_fitting(group: GroupHandle) -> GroupHandle:
+    """F*(G) = F(G) E(G); the engine crosschecks compare it with the socle route."""
     return join(fitting_subgroup(group), layer(group))
-
-
-def generalized_fitting(group: GroupHandle, crosscheck: bool = False) -> GroupHandle:
-    """F*(G) = F(G) E(G), optionally verified against the socle formula."""
-    product = _gen_fitting_by_product(group)
-    if crosscheck:
-        alt = _gen_fitting_by_socle(group)
-        if not alt.same_elements(product):
-            raise ConsistencyError(
-                f"generalized Fitting subgroup mismatch: product route has order "
-                f"{product.order}, socle route has order {alt.order}")
-    return product
 
 
 def _ascending_series(group: GroupHandle, step, kind: str) -> tuple[GroupHandle, ...]:

@@ -17,7 +17,8 @@ from .errors import ConsistencyError, ResourceLimitError
 from .group import GroupHandle, clear_derived, derived
 from .perm import Permutation
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
-from .series import (fitting_subgroup, gen_fitting_height, gen_fitting_series,
+from .series import (_gen_fitting_by_socle, fitting_subgroup,
+                     gen_fitting_height, gen_fitting_series,
                      generalized_fitting, insoluble_length,
                      upper_insoluble_series)
 from .subgrp import (is_normal_in, is_subnormal, normal_closure,
@@ -171,7 +172,7 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
         min_hstar=min(hstars),
         min_lambda=min(lambdas),
         subnormal_all=all(is_subnormal(h, group)[0] for h in distinct.values()),
-        stable_terms_equal=chain.descent_stable.same_elements(chain.stable_k),
+        stable_terms_equal=commutator_descent(group, x)[-1].same_elements(chain.stable_k),
         min_hstar_at_stable=min(hstars) == gen_fitting_height(chain.stable_k),
         min_lambda_at_stable=min(lambdas) == insoluble_length(chain.stable_k),
     )
@@ -356,13 +357,13 @@ _KNOWN_VALUES = {
 }
 
 
-def _gen_fitting_dual_error(group: GroupHandle) -> Optional[ConsistencyError]:
+def _gen_fitting_dual_error(group: GroupHandle) -> Optional[str]:
     """The disagreement of the two generalized Fitting routes, if any."""
-    try:
-        generalized_fitting(group, crosscheck=True)
-    except ConsistencyError as exc:
-        return exc
-    return None
+    product, socle = generalized_fitting(group), _gen_fitting_by_socle(group)
+    if socle.same_elements(product):
+        return None
+    return (f"generalized Fitting subgroup mismatch: product route has order "
+            f"{product.order}, socle route has order {socle.order}")
 
 
 def _suite_crosschecks(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:

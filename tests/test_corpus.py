@@ -227,6 +227,19 @@ def test_report_escapes_only_backslash_and_line_breaks():
         parse_report(text.replace("\\\\b", "\\b"))
 
 
+@pytest.mark.parametrize("old, new, match", [
+    ("  note group s3: all good\n", "    kv x (1 2)\n", "before any violation"),
+    ("  cases 6\n", "", "no cases line"),
+    ("  cases 6\n", "  cases x\n", "cases 'x' is not an integer"),
+    ("  degree 3\n", "", "no degree line")],
+    ids=["kv-before-violation", "no-cases", "cases-not-integer", "no-degree"])
+def test_malformed_report_raises_parse_error(old, new, match):
+    text = render_report(_sample_report())
+    assert old in text
+    with pytest.raises(ParseError, match=match):
+        parse_report(text.replace(old, new))
+
+
 def test_report_status_reflects_violations():
     report = _sample_report()
     assert report.status == "fail"

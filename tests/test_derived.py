@@ -1,8 +1,10 @@
 """The element-set cache behind @derived functions."""
 
+from engelfit import engel as engel_module
 from engelfit import group as group_module
 from engelfit import perm as perm_module
 from engelfit.corpus import builtin
+from engelfit.engel import commutator_descent, engel_chain, inner, j_set
 from engelfit.group import close_group
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.series import fitting_subgroup
@@ -15,7 +17,15 @@ def test_handles_with_equal_elements_share_values():
     h1 = close_group([parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)])
     h2 = close_group([parse_cycles("(1 2 3)", 4), parse_cycles("(3 4)", 4)])
     assert h1.generators != h2.generators and h1.same_elements(h2)
-    assert fitting_subgroup(h1) is fitting_subgroup(h2)
+    x = parse_cycles("(1 2 3 4)", 4)
+    alpha = inner(h1, parse_cycles("(1 2)", 4))
+    for value in [fitting_subgroup,
+                  lambda g: engel_module._engel_sets(g, x, None),
+                  lambda g: commutator_descent(g, x),
+                  lambda g: j_set(g, alpha)]:
+        assert value(h1) is value(h2)
+    # the Engel chain reads the walk under the Baer test's key
+    assert engel_chain(h1, x).sets is engel_module._engel_sets(h2, x, None)
 
 
 def test_lattice_shared_across_order_caps():

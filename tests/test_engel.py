@@ -105,7 +105,7 @@ def test_engel_chain_s3_with_transposition():
     chain = engel_chain(s3, parse_cycles("(1 2)", 3))
     assert all(h.order == 3 for h in chain.generated)
     assert chain.stable_k.order == 3
-    assert chain.descent_stable.order == 3
+    assert commutator_descent(s3, parse_cycles("(1 2)", 3))[-1].order == 3
     assert not chain.reaches_identity()
     assert not baer_membership(s3, parse_cycles("(1 2)", 3))
 
@@ -116,9 +116,10 @@ def test_engel_chain_abelian_collapses_immediately():
         chain = engel_chain(c6, x)
         assert chain.sets[1] == frozenset([Permutation.identity(6)])
         assert chain.stable_k.is_trivial()
-        assert chain.descent_stable.is_trivial()
+        assert commutator_descent(c6, x)[-1].is_trivial()
         # {1} is seen at the cap itself, with no further step to prove it stable
         assert baer_membership(c6, x, k_cap=1) is True
+        assert engel_chain(c6, x, k_cap=1).reaches_identity()
 
 
 def test_engel_chain_set_recurrence():

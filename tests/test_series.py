@@ -6,8 +6,8 @@ from engelfit.corpus import builtin
 from engelfit.errors import PreconditionError
 from engelfit.group import GroupHandle, close_group, generated_by
 from engelfit.perm import parse_cycles
-from engelfit.series import (characteristic_profile, fitting_height,
-                             fitting_series, fitting_subgroup,
+from engelfit.series import (_gen_fitting_by_socle, characteristic_profile,
+                             fitting_height, fitting_series, fitting_subgroup,
                              gen_fitting_height, gen_fitting_series,
                              generalized_fitting, insoluble_length, layer,
                              o_p_core, odd_core, soluble_radical,
@@ -58,7 +58,8 @@ def test_generalized_fitting_with_crosscheck():
                            ("sl2(5)", 120), ("alternating(5)", 60),
                            ("dihedral(6)", 6)]:
         g = builtin(spec).group
-        assert generalized_fitting(g, crosscheck=True).order == expected
+        assert generalized_fitting(g).order == expected
+        assert _gen_fitting_by_socle(g).same_elements(generalized_fitting(g))
 
 
 def test_layer_commutes_with_fitting():
@@ -184,7 +185,8 @@ def test_characteristic_profile_fields():
 
 def test_gen_fitting_height_of_c2xa5_is_one():
     g = builtin("direct_product(cyclic(2),alternating(5))").group
-    assert generalized_fitting(g, crosscheck=True).same_elements(g)
+    assert generalized_fitting(g).same_elements(g)
+    assert _gen_fitting_by_socle(g).same_elements(g)
     assert gen_fitting_height(g) == 1
 
 

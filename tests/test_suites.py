@@ -74,3 +74,10 @@ def test_every_element_is_a_case_with_its_own_payload(monkeypatch):
     assert (suite.cases, suite.passes) == (6, 3)
     assert [v.detail[0] for v in suite.violations] == [
         ("x", "(2 3)"), ("x", "(1 2)"), ("x", "(1 3)")]
+
+
+def test_baer_collapse_at_the_cap_is_a_pass():
+    # every Engel set of an abelian group is {1} after one step
+    c6 = builtin("cyclic(6)", "c6")
+    report = run_suites(["baer"], [c6], Caps(k_cap=1), "capped")
+    assert [(s.cases, s.passes, s.resource_hit) for s in report.suites] == [(6, 6, False)]
