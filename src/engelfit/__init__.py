@@ -15,7 +15,8 @@ from .subgrp import (QuotientMap, center, centralizer, commutator_subgroup,
                      derived_series, derived_subgroup, is_nilpotent, is_perfect,
                      is_quasisimple, is_simple, is_soluble, is_subnormal, join,
                      lower_central_series, minimal_normals, normal_closure,
-                     normal_core, normal_subgroups, quotient, socle, subgroup_of)
+                     normal_closure_descent, normal_core, normal_subgroups,
+                     quotient, socle, subgroup_of)
 from .series import (CharacteristicProfile, characteristic_profile,
                      fitting_height, fitting_series, fitting_subgroup,
                      gen_fitting_height, gen_fitting_series,
@@ -27,8 +28,7 @@ from .engel import (AutomorphismMap, CentralizerCheck, EngelChain,
                     commutator_with_actor, engel_chain, fixed_subgroup,
                     holomorph_extension, inner, j_set, make_automorphism)
 from .zipper import (SubgroupLattice, ZipperCase, all_subgroups,
-                     normal_closure_descent, unique_max_element_check,
-                     zipper_case)
+                     unique_max_element_check, zipper_case)
 from .corpus import (CorpusEntry, builtin, get_corpus, load_corpus,
                      parse_group_file, serialize_group_file, small_std)
 from .report import (GroupSummary, SuiteResult, VerdictReport, Violation,

@@ -15,6 +15,14 @@ from .suites import SUITE_ORDER, Caps, analyze_text, run_suites
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1; anything else is a usage error (exit 2)."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL_NAME,
@@ -29,13 +37,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="suite to run (default: all)")
     run.add_argument("--corpus", default="builtin:small-std",
                      help="corpus directory or builtin:small-std")
-    run.add_argument("--max-order", type=int, default=200_000,
+    run.add_argument("--max-order", type=_positive_int, default=200_000,
                      help="skip corpus groups larger than this")
-    run.add_argument("--lattice-max-order", type=int, default=360,
+    run.add_argument("--lattice-max-order", type=_positive_int, default=360,
                      help="full-lattice suites skip groups larger than this")
-    run.add_argument("--k-cap", type=int, default=None,
+    run.add_argument("--k-cap", type=_positive_int, default=None,
                      help="max commutator iterations per chain (default: group order)")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive_int, default=1,
                      help="worker processes (default: 1)")
     run.add_argument("--report", default=None,
                      help="report file or directory (directory uses "
@@ -57,7 +65,7 @@ def _cmd_run(args) -> int:
     caps = Caps(max_order=args.max_order,
                 lattice_max_order=args.lattice_max_order,
                 k_cap=args.k_cap,
-                jobs=max(1, args.jobs),
+                jobs=args.jobs,
                 crosschecks=args.crosschecks == "on")
     suites = list(SUITE_ORDER) if args.suite == "all" else [args.suite]
     report = run_suites(suites, entries, caps, corpus_name)

@@ -9,7 +9,7 @@ from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
 from .group import GroupHandle, close_group, derived, generated_by
 from .perm import Permutation, p_part
-from .subgrp import center
+from .subgrp import center, descend
 
 __all__ = [
     "AutomorphismMap",
@@ -142,8 +142,7 @@ def inner(group: GroupHandle, t: Permutation) -> AutomorphismMap:
 def fixed_subgroup(alpha: AutomorphismMap) -> GroupHandle:
     """Elements fixed by the automorphism (its centralizer in the group)."""
     fixed = [g for g in alpha.group.sorted_elements() if alpha.mapping[g] == g]
-    return generated_by(fixed, degree=alpha.group.degree,
-                        cap=alpha.group.element_cap)
+    return generated_by(fixed, degree=alpha.group.degree)
 
 
 def _commutator_fn(group: GroupHandle, actor: Actor) -> Callable[[Permutation], Permutation]:
@@ -241,7 +240,7 @@ def engel_chain(group: GroupHandle, actor: Actor,
     for nxt in sets[1:]:
         if frozenset(conj(e) for e in nxt) != nxt:
             raise ConsistencyError("commutator set is not actor-invariant")
-        sub = generated_by(nxt, degree=group.degree, cap=group.element_cap)
+        sub = generated_by(nxt, degree=group.degree)
         if generated and not sub.is_subset_of(generated[-1]):
             raise ConsistencyError("generated Engel chain is not descending")
         generated.append(sub)
@@ -253,17 +252,8 @@ def engel_chain(group: GroupHandle, actor: Actor,
 def commutator_descent(group: GroupHandle, actor: Actor) -> tuple[GroupHandle, ...]:
     """G ≥ [G,actor] ≥ [[G,actor],actor] ≥ … down to its stable term."""
     com = _commutator_fn(group, actor)
-    terms = [group]
-    while True:
-        current = terms[-1]
-        commutators = {com(e) for e in current.elements()}
-        nxt = generated_by(commutators, degree=group.degree, cap=group.element_cap)
-        if nxt.same_elements(current):
-            break
-        if not nxt.is_subset_of(current):
-            raise ConsistencyError("commutator descent left the previous term")
-        terms.append(nxt)
-    return tuple(terms)
+    return descend(group, lambda term: generated_by(
+        {com(e) for e in term.elements()}, degree=group.degree))
 
 
 def baer_membership(group: GroupHandle, x: Permutation,
@@ -310,7 +300,7 @@ def j_set(group: GroupHandle, alpha: AutomorphismMap) -> InvolutionReport:
         alpha=alpha,
         j_elements=frozenset(odd),
         two_part=two_part,
-        generated_j=generated_by(odd, degree=group.degree, cap=group.element_cap),
+        generated_j=generated_by(odd, degree=group.degree),
         fixed_points=fixed_subgroup(alpha),
     )
 
@@ -335,12 +325,9 @@ def centralizer_intersection_check(group: GroupHandle,
     for j in sorted(report.j_elements):
         intersection &= {c.conjugate(j) for c in centralizer_elems}
     expected = center(group).elements() & centralizer_elems
-    inter_handle = generated_by(intersection, degree=group.degree,
-                                cap=group.element_cap)
-    expected_handle = generated_by(expected, degree=group.degree,
-                                   cap=group.element_cap)
     return CentralizerCheck(intersection == expected,
-                            inter_handle, expected_handle)
+                            generated_by(intersection, degree=group.degree),
+                            generated_by(expected, degree=group.degree))
 
 
 def holomorph_extension(group: GroupHandle, alpha: AutomorphismMap,
@@ -359,4 +346,4 @@ def holomorph_extension(group: GroupHandle, alpha: AutomorphismMap,
     translations = [Permutation(tuple(index[e * g] for e in elems))
                     for g in group.generators]
     alpha_perm = Permutation(tuple(index[alpha.mapping[e]] for e in elems))
-    return close_group(translations + [alpha_perm], cap=group.element_cap)
+    return close_group(translations + [alpha_perm])

@@ -35,9 +35,9 @@ _DERIVED: dict[tuple, object] = {}
 def derived(fn):
     """Cache ``fn(*args)`` by the element sets of its GroupHandle arguments.
 
-    Handles with equal elements share one value whatever their generators
-    or element caps, so `fn` must depend on its handles only through their
-    element sets, up to the generators of the subgroups it returns.
+    Handles with equal elements share one value whatever their generators,
+    so `fn` must depend on its handles only through their element sets,
+    up to the generators of the subgroups it returns.
     """
     @functools.wraps(fn)
     def cached(*args, **kwargs):
@@ -194,16 +194,17 @@ class ConjugacyClassTable:
 class GroupHandle:
     """A finite permutation group, immutable after construction.
 
-    The element set is materialized lazily via breadth-first closure
-    (bounded by ``element_cap``); the stabilizer chain supplies order and
-    membership independently, and the two routes are cross-checked
-    whenever both exist.
+    ``elements``, when given, must be the group the generators generate;
+    otherwise it is closed lazily, bounded by ``ELEMENT_CAP``.  The
+    stabilizer chain is the independent oracle ``tests/test_group.py``
+    compares the closure against; a run never builds it.
     """
 
-    __slots__ = ("degree", "generators", "element_cap",
+    __slots__ = ("degree", "generators",
                  "_elements", "_sorted", "_chain", "_fingerprint")
 
-    def __init__(self, generators: Iterable[Permutation], element_cap: int = ELEMENT_CAP):
+    def __init__(self, generators: Iterable[Permutation],
+                 elements: Optional[Iterable[Permutation]] = None):
         gens = tuple(generators)
         if not gens:
             raise ValueError("generator list must be nonempty")
@@ -212,17 +213,16 @@ class GroupHandle:
             raise ValueError("generators must share a degree")
         self.degree = degree
         self.generators = gens
-        self.element_cap = element_cap
-        self._elements: Optional[frozenset[Permutation]] = None
+        self._elements: Optional[frozenset[Permutation]] = (
+            None if elements is None else frozenset(elements))
         self._sorted: Optional[tuple[Permutation, ...]] = None
         self._chain: Optional[StabilizerChain] = None
         self._fingerprint: Optional[str] = None
 
     @classmethod
     def trivial(cls, degree: int) -> "GroupHandle":
-        h = cls((Permutation.identity(degree),))
-        h._elements = frozenset([Permutation.identity(degree)])
-        return h
+        identity = Permutation.identity(degree)
+        return cls((identity,), elements=(identity,))
 
     @property
     def identity(self) -> Permutation:
@@ -231,7 +231,7 @@ class GroupHandle:
     def elements(self) -> frozenset[Permutation]:
         if self._elements is None:
             self._elements = frozenset(
-                _bfs_closure(self.generators, self.degree, self.element_cap))
+                _bfs_closure(self.generators, self.degree, ELEMENT_CAP))
             self._check_order_agreement()
         return self._elements
 
@@ -336,9 +336,9 @@ def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> se
 
 def close_group(generators: Iterable[Permutation], cap: int = ELEMENT_CAP) -> GroupHandle:
     """Materialize the group generated by `generators` (fails loudly at cap)."""
-    handle = GroupHandle(generators, element_cap=cap)
-    handle.elements()
-    return handle
+    handle = GroupHandle(generators)  # validates the generators before closing
+    return GroupHandle(handle.generators,
+                       elements=_bfs_closure(handle.generators, handle.degree, cap))
 
 
 def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
@@ -367,9 +367,7 @@ def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
         if x not in current:
             gens.append(x)
             _extend_by_cosets(current, gens, cap)
-    handle = GroupHandle(tuple(gens) or (Permutation.identity(degree),), element_cap=cap)
-    handle._elements = frozenset(current)
-    return handle
+    return GroupHandle(tuple(gens) or (Permutation.identity(degree),), elements=current)
 
 
 def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation], cap: int) -> None:

@@ -8,7 +8,8 @@ from typing import Optional
 from .errors import ConsistencyError, PreconditionError
 from .group import GroupHandle, derived, generated_by
 from .subgrp import (centralizer, is_nilpotent, is_quasisimple, is_soluble,
-                     join, normal_subgroups, quotient, socle)
+                     join, maximal_members, normal_subgroups, pull_back,
+                     quotient, socle)
 
 __all__ = [
     "CharacteristicProfile",
@@ -37,7 +38,7 @@ def _is_prime_power(n: int, p: int) -> bool:
 
 def _join_members(group: GroupHandle, keep) -> GroupHandle:
     picked = [m for m in normal_subgroups(group) if keep(m)]
-    return join(*picked, degree=group.degree, cap=group.element_cap)
+    return join(*picked, degree=group.degree)
 
 
 @derived
@@ -80,12 +81,9 @@ def layer(group: GroupHandle) -> GroupHandle:
         return GroupHandle.trivial(group.degree)
     if is_quasisimple(group):
         return group
-    members = [m for m in normal_subgroups(group) if m.order < group.order]
-    maximal = [m for m in members
-               if not any(m.order < other.order and m.is_subset_of(other)
-                          for other in members)]
-    return join(*(layer(m) for m in maximal), degree=group.degree,
-                cap=group.element_cap)
+    maximal = maximal_members(m for m in normal_subgroups(group)
+                              if m.order < group.order)
+    return join(*(layer(m) for m in maximal), degree=group.degree)
 
 
 @derived
@@ -114,12 +112,12 @@ def generalized_fitting(group: GroupHandle) -> GroupHandle:
     return join(fitting_subgroup(group), layer(group))
 
 
-def _ascending_series(group: GroupHandle, step, kind: str) -> tuple[GroupHandle, ...]:
-    """Iterate `step` (current term -> next term) from the bottom up to G."""
+def _ascending_series(group: GroupHandle, fn, kind: str) -> tuple[GroupHandle, ...]:
+    """T_1 < T_2 < … = G with T_{i+1}/T_i = fn(G/T_i), from T_0 = 1."""
     terms: list[GroupHandle] = []
     current = GroupHandle.trivial(group.degree)
     while current.order < group.order:
-        nxt = step(current)
+        nxt = pull_back(group, current, fn)
         if nxt.order <= current.order:
             raise ConsistencyError(f"{kind} series stalled at order {current.order}")
         terms.append(nxt)
@@ -130,13 +128,7 @@ def _ascending_series(group: GroupHandle, step, kind: str) -> tuple[GroupHandle,
 @derived
 def gen_fitting_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """F*_1 < F*_2 < … = G; the length is the generalized Fitting height."""
-    def step(current: GroupHandle) -> GroupHandle:
-        if current.is_trivial():
-            return generalized_fitting(group)
-        q = quotient(group, current)
-        return q.preimage_of(generalized_fitting(q.image))
-
-    return _ascending_series(group, step, "generalized_fitting")
+    return _ascending_series(group, generalized_fitting, "generalized_fitting")
 
 
 def gen_fitting_height(group: GroupHandle) -> int:
@@ -148,14 +140,7 @@ def fitting_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """F_1 < F_2 < … = G for a soluble group."""
     if not is_soluble(group):
         raise PreconditionError("Fitting series requires a soluble group")
-
-    def step(current: GroupHandle) -> GroupHandle:
-        if current.is_trivial():
-            return fitting_subgroup(group)
-        q = quotient(group, current)
-        return q.preimage_of(fitting_subgroup(q.image))
-
-    return _ascending_series(group, step, "fitting")
+    return _ascending_series(group, fitting_subgroup, "fitting")
 
 
 def fitting_height(group: GroupHandle) -> int:
@@ -171,12 +156,7 @@ def insoluble_length(group: GroupHandle) -> int:
     """
     if is_soluble(group):
         return 0
-    radical = soluble_radical(group)
-    if radical.is_trivial():
-        top = socle(group)
-    else:
-        q0 = quotient(group, radical)
-        top = q0.preimage_of(socle(q0.image))
+    top = pull_back(group, soluble_radical(group), socle)
     if top.same_elements(group):
         return 1
     return 1 + insoluble_length(quotient(group, top).image)

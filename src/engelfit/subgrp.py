@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import ConsistencyError, PreconditionError, ResourceLimitError
-from .group import ELEMENT_CAP, GroupHandle, derived, generated_by
+from .group import GroupHandle, derived, generated_by
 from .perm import Permutation, commutator
 
 __all__ = [
     "QuotientMap",
     "subgroup_of",
     "join",
+    "maximal_members",
     "normal_closure",
     "centralizer",
     "center",
@@ -21,6 +22,7 @@ __all__ = [
     "derived_subgroup",
     "derived_series",
     "lower_central_series",
+    "descend",
     "is_soluble",
     "is_nilpotent",
     "is_perfect",
@@ -28,6 +30,7 @@ __all__ = [
     "is_subnormal",
     "normal_closure_descent",
     "quotient",
+    "pull_back",
     "normal_subgroups",
     "minimal_normals",
     "socle",
@@ -44,18 +47,23 @@ def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> Group
     for g in gens:
         if not parent.contains(g):
             raise ValueError(f"generator {g} is not a member of the parent group")
-    return generated_by(gens, degree=parent.degree, cap=parent.element_cap)
+    return generated_by(gens, degree=parent.degree)
 
 
-def join(*handles: GroupHandle, degree: Optional[int] = None,
-         cap: Optional[int] = None) -> GroupHandle:
+def join(*handles: GroupHandle, degree: Optional[int] = None) -> GroupHandle:
     """⟨A ∪ B ∪ …⟩; with no handles, the trivial group of `degree`."""
     if len({h.degree for h in handles}) > 1:
         raise ValueError("degree mismatch in join")
-    if cap is None:
-        cap = handles[0].element_cap if handles else ELEMENT_CAP
-    return generated_by([g for h in handles for g in h.generators],
-                        degree=degree, cap=cap)
+    return generated_by([g for h in handles for g in h.generators], degree=degree)
+
+
+def maximal_members(handles: Iterable[GroupHandle]) -> list[GroupHandle]:
+    """The handles not properly contained in another one, in input order
+    (tried from the end, so an order-sorted list finds overgroups early)."""
+    members = list(handles)
+    return [m for m in members
+            if not any(m.order < other.order and m.is_subset_of(other)
+                       for other in reversed(members))]
 
 
 @derived
@@ -64,15 +72,14 @@ def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
     if sub.degree != ambient.degree:
         raise ValueError("degree mismatch in normal closure")
     gens = [g for g in sub.generators if not g.is_identity()]
-    current = generated_by(gens, degree=ambient.degree, cap=ambient.element_cap)
+    current = generated_by(gens, degree=ambient.degree)
     pending = list(current.generators)
     while pending:
         s = pending.pop()
         for g in ambient.generators:
             conj = s.conjugate(g)
             if conj not in current.elements():
-                current = generated_by(current.generators + (conj,),
-                                       cap=ambient.element_cap)
+                current = generated_by(current.generators + (conj,))
                 pending.append(conj)
     for s in current.generators:  # closure is ambient-invariant by construction
         for g in ambient.generators:
@@ -89,7 +96,7 @@ def centralizer(group: GroupHandle, perms: Iterable[Permutation]) -> GroupHandle
             raise ValueError("degree mismatch in centralizer")
     fixed = [g for g in group.sorted_elements()
              if all(g * s == s * g for s in targets)]
-    return generated_by(fixed, degree=group.degree, cap=group.element_cap)
+    return generated_by(fixed, degree=group.degree)
 
 
 @derived
@@ -108,7 +115,7 @@ def normal_core(group: GroupHandle, sub: GroupHandle) -> GroupHandle:
         if survivors == current:
             break
         current = survivors
-    return generated_by(current, degree=group.degree, cap=group.element_cap)
+    return generated_by(current, degree=group.degree)
 
 
 def commutator_subgroup(h: GroupHandle, k: GroupHandle,
@@ -118,7 +125,7 @@ def commutator_subgroup(h: GroupHandle, k: GroupHandle,
         raise ValueError("degree mismatch in commutator subgroup")
     ambient = within if within is not None else join(h, k)
     base = [commutator(x, y) for x in h.generators for y in k.generators]
-    seed = generated_by(base, degree=h.degree, cap=ambient.element_cap)
+    seed = generated_by(base, degree=h.degree)
     return normal_closure(seed, ambient)
 
 
@@ -127,26 +134,29 @@ def derived_subgroup(group: GroupHandle) -> GroupHandle:
     return commutator_subgroup(group, group, within=group)
 
 
+def descend(top: GroupHandle,
+            step: Callable[[GroupHandle], GroupHandle]) -> tuple[GroupHandle, ...]:
+    """top, step(top), … up to the first term that `step` fixes; a term
+    that leaves its predecessor is an engine bug."""
+    terms = [top]
+    while True:
+        nxt = step(terms[-1])
+        if nxt.same_elements(terms[-1]):
+            return tuple(terms)
+        if not nxt.is_subset_of(terms[-1]):
+            raise ConsistencyError(
+                f"descending series left the previous term at step {len(terms)}")
+        terms.append(nxt)
+
+
 def derived_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """G > G' > G'' > … down to its stable term."""
-    terms = [group]
-    while True:
-        nxt = derived_subgroup(terms[-1])
-        if nxt.same_elements(terms[-1]):
-            break
-        terms.append(nxt)
-    return tuple(terms)
+    return descend(group, derived_subgroup)
 
 
 def lower_central_series(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """G > [G,G] > [G,G,G] > … down to its stable term."""
-    terms = [group]
-    while True:
-        nxt = commutator_subgroup(terms[-1], group, within=group)
-        if nxt.same_elements(terms[-1]):
-            break
-        terms.append(nxt)
-    return tuple(terms)
+    return descend(group, lambda term: commutator_subgroup(term, group, within=group))
 
 
 @derived
@@ -176,23 +186,17 @@ def normal_closure_descent(sub: GroupHandle,
     """H_0 = H, H_{i+1} = ⟨sub^{H_i}⟩ down to the stable term F(sub, H)."""
     if not sub.is_subset_of(ambient):
         raise ValueError("descent requires the subgroup to lie in the ambient group")
-    terms = [ambient]
-    while True:
-        nxt = normal_closure(sub, terms[-1])
-        if nxt.same_elements(terms[-1]):
-            break
-        terms.append(nxt)
-    return tuple(terms)
+    return descend(ambient, lambda term: normal_closure(sub, term))
 
 
-def is_subnormal(sub: GroupHandle, group: GroupHandle) -> tuple[bool, list[GroupHandle]]:
+def is_subnormal(sub: GroupHandle, group: GroupHandle) -> bool:
     """Decide subnormality by iterated normal closure.
 
     The descent G ⊵ ⟨A^G⟩ ⊵ ⟨A^⟨A^G⟩⟩ ⊵ … reaches A exactly when A is
-    subnormal, and the visited terms form a witness chain.
+    subnormal; `normal_closure_descent` returns its terms as a witness
+    chain.
     """
-    chain = list(normal_closure_descent(sub, group))
-    return chain[-1].same_elements(sub), chain
+    return normal_closure_descent(sub, group)[-1].same_elements(sub)
 
 
 @dataclass
@@ -223,8 +227,7 @@ class QuotientMap:
     def preimage_of(self, sub: GroupHandle) -> GroupHandle:
         """⟨kernel ∪ lifts of sub's generators⟩, the full preimage of sub."""
         lifts = tuple(self.lift(q) for q in sub.generators)
-        return generated_by(self.kernel.generators + lifts,
-                            cap=self.source.element_cap)
+        return generated_by(self.kernel.generators + lifts)
 
 
 def quotient(group: GroupHandle, kernel: GroupHandle) -> QuotientMap:
@@ -253,6 +256,21 @@ def quotient(group: GroupHandle, kernel: GroupHandle) -> QuotientMap:
     return QuotientMap(group, kernel, image, tuple(reps), index)
 
 
+def pull_back(group: GroupHandle, kernel: GroupHandle,
+              fn: Callable[[GroupHandle], GroupHandle]) -> GroupHandle:
+    """The preimage in `group` of fn(group/kernel), for a normal `kernel`.
+
+    A trivial kernel gives fn(group) and the whole group gives the group;
+    neither builds a coset action.
+    """
+    if kernel.is_trivial():
+        return fn(group)
+    if kernel.same_elements(group):
+        return group
+    q = quotient(group, kernel)
+    return q.preimage_of(fn(q.image))
+
+
 @derived
 def normal_subgroups(group: GroupHandle,
                      count_cap: int = LATTICE_COUNT_CAP) -> tuple[GroupHandle, ...]:
@@ -267,15 +285,14 @@ def normal_subgroups(group: GroupHandle,
     trivial = GroupHandle.trivial(group.degree)
     found[trivial.elements()] = trivial
     for rep in group.conjugacy_classes().representatives:
-        closure = normal_closure(generated_by([rep], degree=group.degree,
-                                              cap=group.element_cap), group)
+        closure = normal_closure(generated_by([rep], degree=group.degree), group)
         found.setdefault(closure.elements(), closure)
     while True:
         snapshot = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
         added = False
         for i, a in enumerate(snapshot):
             for b in snapshot[i + 1:]:
-                j = join(a, b, cap=group.element_cap)
+                j = join(a, b)
                 if j.elements() not in found:
                     if len(found) >= count_cap:
                         raise ResourceLimitError(
@@ -305,7 +322,7 @@ def minimal_normals(group: GroupHandle) -> list[GroupHandle]:
 
 @derived
 def socle(group: GroupHandle) -> GroupHandle:
-    return join(*minimal_normals(group), degree=group.degree, cap=group.element_cap)
+    return join(*minimal_normals(group), degree=group.degree)
 
 
 def is_simple(group: GroupHandle) -> bool:

@@ -22,7 +22,7 @@ from .series import (_gen_fitting_by_socle, fitting_subgroup,
                      generalized_fitting, insoluble_length,
                      upper_insoluble_series)
 from .subgrp import (is_normal_in, is_subnormal, normal_closure,
-                     normal_subgroups, quotient)
+                     normal_subgroups, pull_back, quotient)
 from .zipper import LATTICE_ORDER_CAP, all_subgroups, zipper_case
 
 __all__ = ["Caps", "SUITE_ORDER", "SUITE_STATEMENTS", "run_suites", "analyze_text"]
@@ -171,7 +171,7 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
         reaches_identity=chain.reaches_identity(),
         min_hstar=min(hstars),
         min_lambda=min(lambdas),
-        subnormal_all=all(is_subnormal(h, group)[0] for h in distinct.values()),
+        subnormal_all=all(is_subnormal(h, group) for h in distinct.values()),
         stable_terms_equal=commutator_descent(group, x)[-1].same_elements(chain.stable_k),
         min_hstar_at_stable=min(hstars) == gen_fitting_height(chain.stable_k),
         min_lambda_at_stable=min(lambdas) == insoluble_length(chain.stable_k),
@@ -198,14 +198,8 @@ def _suite_thm11(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     terms = gen_fitting_series(group)
     # fit_above[h] is the preimage of F(G / F*_h); membership of x there is
     # the left side of the equivalence at height h.
-    fit_above: list[GroupHandle] = [fitting_subgroup(group)]
-    for h in range(1, height + 1):
-        term = terms[h - 1]
-        if term.same_elements(group):
-            fit_above.append(group)
-        else:
-            q = quotient(group, term)
-            fit_above.append(q.preimage_of(fitting_subgroup(q.image)))
+    trivial = GroupHandle.trivial(group.degree)
+    fit_above = [pull_back(group, t, fitting_subgroup) for t in (trivial, *terms)]
     for x, facts in _facts_by_class(entry, caps, out.notes):
         for h in range(height + 1):
             left = fit_above[h].contains(x)
@@ -421,7 +415,7 @@ def _subnormal_mismatch(group: GroupHandle) -> Optional[str]:
                         reachable.add(up)
                         frontier.append(up)
             exhaustive = b in reachable
-            decided = is_subnormal(handles[a], big)[0]
+            decided = is_subnormal(handles[a], big)
             if exhaustive != decided:
                 return (f"pair orders ({handles[a].order}, {big.order}): "
                         f"descent={decided} exhaustive={exhaustive}")

@@ -8,14 +8,13 @@ from typing import Optional
 from .errors import PreconditionError, ResourceLimitError
 from .group import GroupHandle, derived, generated_by
 from .perm import Permutation
-from .subgrp import (is_normal_in, is_subnormal, join, normal_closure,
-                     normal_closure_descent)
+from .subgrp import (is_normal_in, is_subnormal, join, maximal_members,
+                     normal_closure, normal_closure_descent)
 
 __all__ = [
     "SubgroupLattice",
     "ZipperCase",
     "all_subgroups",
-    "normal_closure_descent",
     "descent_lemma_failures",
     "zipper_case",
     "unique_max_element_check",
@@ -38,13 +37,6 @@ class SubgroupLattice:
         return len(self.members)
 
 
-def _conjugated(handle: GroupHandle, t: Permutation) -> GroupHandle:
-    gens = tuple(g.conjugate(t) for g in handle.generators)
-    conj = GroupHandle(gens, element_cap=handle.element_cap)
-    conj._elements = frozenset(e.conjugate(t) for e in handle.elements())
-    return conj
-
-
 def _conjugate_orbit(group: GroupHandle, handle: GroupHandle) -> list[GroupHandle]:
     """All conjugates of a subgroup under the parent group."""
     seen = {handle.elements(): handle}
@@ -52,7 +44,8 @@ def _conjugate_orbit(group: GroupHandle, handle: GroupHandle) -> list[GroupHandl
     while queue:
         current = queue.pop()
         for g in group.generators:
-            image = _conjugated(current, g)
+            image = GroupHandle(tuple(s.conjugate(g) for s in current.generators),
+                                elements=(e.conjugate(g) for e in current.elements()))
             if image.elements() not in seen:
                 seen[image.elements()] = image
                 queue.append(image)
@@ -116,7 +109,7 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
 
     register(GroupHandle.trivial(group.degree))
     for rep in group.conjugacy_classes().representatives:
-        register(generated_by([rep], degree=group.degree, cap=group.element_cap))
+        register(generated_by([rep], degree=group.degree))
 
     i = 0
     while i < len(class_reps):
@@ -127,14 +120,11 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
         for g in _double_coset_reps(group, base):
             if base.contains(g):
                 continue
-            register(generated_by(base.generators + (g,), cap=group.element_cap))
+            register(generated_by(base.generators + (g,)))
 
     members.sort(key=lambda h: (h.order, h.fingerprint))
-    proper = members[:-1]  # the group itself is the one member of top order
-    maximal = tuple(m for m in proper
-                    if not any(m.order < other.order and m.is_subset_of(other)
-                               for other in reversed(proper)))
-    return SubgroupLattice(tuple(members), maximal)
+    # the group itself is the one member of top order
+    return SubgroupLattice(tuple(members), tuple(maximal_members(members[:-1])))
 
 
 def descent_lemma_failures(sub: GroupHandle,
@@ -148,7 +138,7 @@ def descent_lemma_failures(sub: GroupHandle,
         if not is_normal_in(series[i + 1], series[i]):
             failures.append(f"term {i + 1} is not normal in term {i}")
     for i, term in enumerate(series):
-        if not is_subnormal(term, top)[0]:
+        if not is_subnormal(term, top):
             failures.append(f"term {i} is not subnormal in the top group")
     stable = series[-1]
     if not normal_closure(sub, stable).same_elements(stable):
@@ -187,7 +177,7 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
             continue
         if normal_closure(sub, h).same_elements(h):
             omega.append(h)
-    y = join(sub, *omega, cap=group.element_cap)
+    y = join(sub, *omega)
     maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
     if y.same_elements(group):
         branch = "join_is_whole"
@@ -234,8 +224,4 @@ def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
     for m in maximal_over:
         v = normal_closure_descent(sub, m)[-1]
         values.setdefault(v.elements(), v)
-    handles = list(values.values())
-    top_count = sum(
-        1 for v in handles
-        if not any(v.order < w.order and v.is_subset_of(w) for w in handles))
-    return top_count == 1
+    return len(maximal_members(values.values())) == 1

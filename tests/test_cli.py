@@ -38,6 +38,16 @@ def test_exit_code_two_on_resource_limit(tmp_path):
     assert (suite.cases, suite.passes, suite.resource_hit) == (0, 0, True)
 
 
+@pytest.mark.parametrize("flag", ["--k-cap", "--jobs", "--max-order",
+                                  "--lattice-max-order"])
+def test_nonpositive_count_is_a_usage_error(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--suite", "baer", "--corpus", "builtin:cyclic(6)", flag, "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and f"argument {flag}: '0' is not a positive integer" in err
+
+
 def test_exit_code_two_on_malformed_builtin_argument(capsys):
     assert main(["run", "--suite", "baer", "--corpus", "builtin:cyclic(abc)"]) == 2
     assert "takes one integer argument" in capsys.readouterr().err

@@ -160,7 +160,7 @@ def test_engel_chain_generated_descending_and_subnormal():
         for earlier, later in zip(chain.generated, chain.generated[1:]):
             assert later.is_subset_of(earlier)
         for h in chain.generated:
-            assert is_subnormal(h, s4)[0]
+            assert is_subnormal(h, s4)
 
 
 def test_engel_chain_k_cap_exhaustion():

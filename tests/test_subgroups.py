@@ -2,15 +2,17 @@
 
 import pytest
 
-from engelfit.errors import PreconditionError
+from engelfit.errors import ConsistencyError, PreconditionError
 from engelfit.group import GroupHandle, close_group, generated_by
 from engelfit.perm import Permutation, commutator, parse_cycles
 from engelfit.subgrp import (center, centralizer, commutator_subgroup,
-                             derived_series, derived_subgroup, is_nilpotent,
-                             is_normal_in, is_perfect, is_quasisimple,
-                             is_simple, is_soluble, is_subnormal, join,
-                             minimal_normals, normal_closure, normal_core,
-                             normal_subgroups, quotient, socle, subgroup_of)
+                             derived_series, derived_subgroup, descend,
+                             is_nilpotent, is_normal_in, is_perfect,
+                             is_quasisimple, is_simple, is_soluble,
+                             is_subnormal, join, minimal_normals,
+                             normal_closure, normal_closure_descent,
+                             normal_core, normal_subgroups, pull_back,
+                             quotient, socle, subgroup_of)
 from tests.test_group import alt, sym
 
 
@@ -141,21 +143,48 @@ def test_commutator_subgroup_of_pair():
 def test_subnormal_with_witness_chain():
     s4 = sym(4)
     sub = generated_by([parse_cycles("(1 2)(3 4)", 4)])
-    ok, chain = is_subnormal(sub, s4)
-    assert ok
+    assert is_subnormal(sub, s4)
+    chain = normal_closure_descent(sub, s4)
     assert [c.order for c in chain] == [24, 4, 2]
 
 
 def test_transposition_not_subnormal_in_s4():
-    ok, chain = is_subnormal(generated_by([parse_cycles("(1 2)", 4)]), sym(4))
-    assert not ok
+    sub = generated_by([parse_cycles("(1 2)", 4)])
+    assert not is_subnormal(sub, sym(4))
+    chain = normal_closure_descent(sub, sym(4))
     assert chain[-1].order == 24
 
 
 def test_group_subnormal_in_itself():
     s4 = sym(4)
-    ok, chain = is_subnormal(s4, s4)
-    assert ok and len(chain) == 1
+    assert is_subnormal(s4, s4) and len(normal_closure_descent(s4, s4)) == 1
+
+
+def test_descend_rejects_a_term_leaving_its_predecessor(monkeypatch):
+    import engelfit.subgrp
+    v4 = generated_by([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
+    outside = generated_by([parse_cycles("(1 2)", 4)])
+    monkeypatch.setattr(engelfit.subgrp, "derived_subgroup", lambda group: outside)
+    with pytest.raises(ConsistencyError, match="left the previous term"):
+        derived_series(v4)
+    with pytest.raises(ConsistencyError, match="left the previous term at step 2"):
+        descend(sym(4), lambda term: v4 if term.order == 24 else outside)
+
+
+def test_pull_back_fitting_subgroup_of_s4(monkeypatch):
+    import engelfit.subgrp
+    from engelfit.series import fitting_subgroup
+    s4 = sym(4)
+    v4 = generated_by([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
+    assert pull_back(s4, v4, fitting_subgroup).same_elements(alt(4))
+
+    def no_quotient(group, kernel):
+        raise AssertionError("coset action built")
+
+    # the trivial kernel and the whole group build no coset action
+    monkeypatch.setattr(engelfit.subgrp, "quotient", no_quotient)
+    assert pull_back(s4, GroupHandle.trivial(4), fitting_subgroup).same_elements(v4)
+    assert pull_back(s4, s4, fitting_subgroup).same_elements(s4)
 
 
 def test_quotient_s4_by_v4():

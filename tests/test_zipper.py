@@ -119,7 +119,7 @@ def test_descent_lemma_on_many_pairs():
         stable = series[-1]
         # stable term self-closes, and equals sub exactly when sub is subnormal
         assert normal_closure(sub, stable).same_elements(stable)
-        assert stable.same_elements(sub) == is_subnormal(sub, s4)[0]
+        assert stable.same_elements(sub) == is_subnormal(sub, s4)
 
 
 def test_zipper_four_cycle_in_s4():
@@ -211,7 +211,7 @@ def test_flavell_remark_on_subnormal_overgroups():
         if sub.order >= s4.order:
             continue
         maximal_over = [m for m in lattice.maximal if sub.elements() <= m.elements()]
-        not_subnormal = [m for m in maximal_over if not is_subnormal(sub, m)[0]]
+        not_subnormal = [m for m in maximal_over if not is_subnormal(sub, m)]
         if len(not_subnormal) <= 1 and maximal_over:
             for m in maximal_over:
                 if m in not_subnormal:
