@@ -9,8 +9,7 @@ the structural statements relating them over corpora of small groups.
 from .errors import (AutomorphismError, ConsistencyError, EngelfitError,
                      ParseError, PreconditionError, ResourceLimitError)
 from .perm import Permutation, commutator, format_cycles, p_part, parse_cycles
-from .group import (ConjugacyClassTable, GroupHandle, StabilizerChain,
-                    close_group, generated_by)
+from .group import ConjugacyClassTable, GroupHandle, close_group, generated_by
 from .subgrp import (QuotientMap, center, centralizer, commutator_subgroup,
                      derived_series, derived_subgroup, is_nilpotent, is_perfect,
                      is_quasisimple, is_simple, is_soluble, is_subnormal, join,

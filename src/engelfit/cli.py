@@ -37,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="suite to run (default: all)")
     run.add_argument("--corpus", default="builtin:small-std",
                      help="corpus directory or builtin:small-std")
-    run.add_argument("--max-order", type=_positive_int, default=200_000,
+    run.add_argument("--max-order", type=_positive_int, default=Caps.max_order,
                      help="skip corpus groups larger than this")
-    run.add_argument("--lattice-max-order", type=_positive_int, default=360,
+    run.add_argument("--lattice-max-order", type=_positive_int,
+                     default=Caps.lattice_max_order,
                      help="full-lattice suites skip groups larger than this")
     run.add_argument("--k-cap", type=_positive_int, default=None,
                      help="max commutator iterations per chain (default: group order)")

@@ -1,4 +1,5 @@
-"""Finite permutation groups: closure, stabilizer chains, conjugacy classes."""
+"""Finite permutation groups held as element sets: closure, Dimino's
+coset extension, the @derived cache, conjugacy classes."""
 
 from __future__ import annotations
 
@@ -8,13 +9,12 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ResourceLimitError
 from .perm import Permutation, clear_interned
 
 __all__ = [
     "ELEMENT_CAP",
     "GroupHandle",
-    "StabilizerChain",
     "ConjugacyClassTable",
     "clear_derived",
     "close_group",
@@ -59,125 +59,6 @@ def clear_derived() -> None:
     clear_interned()
 
 
-class _Level:
-    __slots__ = ("point", "gens", "transversal")
-
-    def __init__(self, point: int, identity: Permutation):
-        self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {point: identity}
-
-
-class StabilizerChain:
-    """Deterministic Schreier-Sims stabilizer chain.
-
-    One level is pre-created per support point in ascending order, so every
-    generator or residue lands at the level of its smallest moved point and
-    the base comes out as the smallest moved points, ascending.  Redundant
-    levels are trimmed once construction finishes.  Seed generators are
-    processed in sorted order and orbits grown breadth-first, making the
-    chain a pure function of the generating set.
-    """
-
-    def __init__(self, generators: Iterable[Permutation], degree: int):
-        self.degree = degree
-        self._identity = Permutation.identity(degree)
-        gens = sorted({g for g in generators if not g.is_identity()})
-        support = sorted({p for g in gens for p in g.moved_points()})
-        self.levels: list[_Level] = [_Level(p, self._identity) for p in support]
-        for g in gens:
-            self._add(g)
-        self.levels = [lvl for lvl in self.levels if len(lvl.transversal) > 1]
-
-    @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(level.point for level in self.levels)
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for level in self.levels:
-            n *= len(level.transversal)
-        return n
-
-    def contains(self, g: Permutation) -> bool:
-        if g.degree != self.degree:
-            raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-        residue, _ = self._sift(g, 0)
-        return residue.is_identity()
-
-    def _sift(self, g: Permutation, start: int) -> tuple[Permutation, int]:
-        """Reduce g by transversal elements; returns (residue, stuck level)."""
-        for i in range(start, len(self.levels)):
-            level = self.levels[i]
-            point = g.images[level.point]
-            u = level.transversal.get(point)
-            if u is None:
-                return g, i
-            g = g * u.inverse()
-        return g, len(self.levels)
-
-    def _add(self, g: Permutation) -> None:
-        residue, j = self._sift(g, 0)
-        if residue.is_identity():
-            return
-        # a nontrivial residue moves some support point, so it sticks at a
-        # real level and never needs the chain extended
-        self.levels[j].gens.append(residue)
-        self._complete(j)
-
-    def _strong_gens(self, i: int) -> list[Permutation]:
-        """Strong generators fixing the first i base points."""
-        out: list[Permutation] = []
-        for level in self.levels[i:]:
-            out.extend(level.gens)
-        return out
-
-    def _recompute_orbit(self, i: int) -> None:
-        level = self.levels[i]
-        gens = self._strong_gens(i)
-        transversal = {level.point: self._identity}
-        queue = [level.point]
-        while queue:
-            point = queue.pop(0)
-            u = transversal[point]
-            for g in gens:
-                q = g.images[point]
-                if q not in transversal:
-                    transversal[q] = u * g
-                    queue.append(q)
-        level.transversal = transversal
-
-    def _find_missing(self, i: int) -> Optional[tuple[Permutation, int]]:
-        """First Schreier generator at level i not generated below it."""
-        level = self.levels[i]
-        gens = self._strong_gens(i)
-        for point in sorted(level.transversal):
-            u = level.transversal[point]
-            for g in gens:
-                v = level.transversal[g.images[point]]
-                schreier = u * g * v.inverse()
-                residue, j = self._sift(schreier, i + 1)
-                if not residue.is_identity():
-                    return residue, j
-        return None
-
-    def _complete(self, start: int) -> None:
-        # Walk levels from `start` upward; any missing Schreier residue is
-        # placed deeper and processing resumes there, so on exit every
-        # level's Schreier generators sift to the identity.
-        i = start
-        while i >= 0:
-            self._recompute_orbit(i)
-            missing = self._find_missing(i)
-            if missing is None:
-                i -= 1
-                continue
-            residue, j = missing
-            self.levels[j].gens.append(residue)
-            i = j
-
-
 @dataclass(frozen=True)
 class ConjugacyClassTable:
     """Class representatives (lexicographically least members) and sizes,
@@ -192,31 +73,23 @@ class ConjugacyClassTable:
 
 
 class GroupHandle:
-    """A finite permutation group, immutable after construction.
+    """A finite permutation group held as its full element set, immutable
+    after construction.
 
-    ``elements``, when given, must be the group the generators generate;
-    otherwise it is closed lazily, bounded by ``ELEMENT_CAP``.  The
-    stabilizer chain is the independent oracle ``tests/test_group.py``
-    compares the closure against; a run never builds it.
+    ``elements`` must be the group the generators generate.  `close_group`
+    and `generated_by` build it, bounded by ``ELEMENT_CAP``; order and
+    membership are read from it.
     """
 
-    __slots__ = ("degree", "generators",
-                 "_elements", "_sorted", "_chain", "_fingerprint")
+    __slots__ = ("degree", "generators", "_elements", "_sorted", "_fingerprint")
 
     def __init__(self, generators: Iterable[Permutation],
-                 elements: Optional[Iterable[Permutation]] = None):
+                 elements: Iterable[Permutation]):
         gens = tuple(generators)
-        if not gens:
-            raise ValueError("generator list must be nonempty")
-        degree = gens[0].degree
-        if any(g.degree != degree for g in gens):
-            raise ValueError("generators must share a degree")
-        self.degree = degree
+        self.degree = _common_degree(gens)
         self.generators = gens
-        self._elements: Optional[frozenset[Permutation]] = (
-            None if elements is None else frozenset(elements))
+        self._elements = frozenset(elements)
         self._sorted: Optional[tuple[Permutation, ...]] = None
-        self._chain: Optional[StabilizerChain] = None
         self._fingerprint: Optional[str] = None
 
     @classmethod
@@ -229,36 +102,16 @@ class GroupHandle:
         return Permutation.identity(self.degree)
 
     def elements(self) -> frozenset[Permutation]:
-        if self._elements is None:
-            self._elements = frozenset(
-                _bfs_closure(self.generators, self.degree, ELEMENT_CAP))
-            self._check_order_agreement()
         return self._elements
 
     def sorted_elements(self) -> tuple[Permutation, ...]:
         if self._sorted is None:
-            self._sorted = tuple(sorted(self.elements()))
+            self._sorted = tuple(sorted(self._elements))
         return self._sorted
 
     @property
-    def chain(self) -> StabilizerChain:
-        if self._chain is None:
-            self._chain = StabilizerChain(self.generators, self.degree)
-            self._check_order_agreement()
-        return self._chain
-
-    def _check_order_agreement(self) -> None:
-        if self._chain is not None and self._elements is not None:
-            if self._chain.order != len(self._elements):
-                raise ConsistencyError(
-                    f"stabilizer chain order {self._chain.order} != closure "
-                    f"size {len(self._elements)}")
-
-    @property
     def order(self) -> int:
-        if self._elements is not None:
-            return len(self._elements)
-        return self.chain.order
+        return len(self._elements)
 
     def is_trivial(self) -> bool:
         return self.order == 1
@@ -266,9 +119,7 @@ class GroupHandle:
     def contains(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError(f"degree mismatch: {g.degree} vs {self.degree}")
-        if self._elements is not None:
-            return g in self._elements
-        return self.chain.contains(g)
+        return g in self._elements
 
     @property
     def fingerprint(self) -> str:
@@ -310,8 +161,17 @@ class GroupHandle:
         return ConjugacyClassTable(tuple(reps), tuple(sizes), rep_of)
 
     def __repr__(self) -> str:
-        known = len(self._elements) if self._elements is not None else "?"
-        return f"<group deg={self.degree} gens={len(self.generators)} order={known}>"
+        return f"<group deg={self.degree} gens={len(self.generators)} order={self.order}>"
+
+
+def _common_degree(generators: tuple[Permutation, ...]) -> int:
+    """The one degree of a nonempty generator tuple (ValueError otherwise)."""
+    if not generators:
+        raise ValueError("generator list must be nonempty")
+    degree = generators[0].degree
+    if any(g.degree != degree for g in generators):
+        raise ValueError("generators must share a degree")
+    return degree
 
 
 def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> set[Permutation]:
@@ -336,9 +196,8 @@ def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> se
 
 def close_group(generators: Iterable[Permutation], cap: int = ELEMENT_CAP) -> GroupHandle:
     """Materialize the group generated by `generators` (fails loudly at cap)."""
-    handle = GroupHandle(generators)  # validates the generators before closing
-    return GroupHandle(handle.generators,
-                       elements=_bfs_closure(handle.generators, handle.degree, cap))
+    gens = tuple(generators)
+    return GroupHandle(gens, elements=_bfs_closure(gens, _common_degree(gens), cap))
 
 
 def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,

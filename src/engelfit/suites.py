@@ -14,7 +14,7 @@ from .engel import (AutomorphismMap, baer_membership,
                     centralizer_intersection_check, commutator_descent,
                     engel_chain, j_set)
 from .errors import ConsistencyError, ResourceLimitError
-from .group import GroupHandle, clear_derived, derived
+from .group import ELEMENT_CAP, GroupHandle, clear_derived, derived
 from .perm import Permutation
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
 from .series import (_gen_fitting_by_socle, fitting_subgroup,
@@ -64,7 +64,7 @@ EXHAUSTIVE_SEARCH_CAP = 100
 class Caps:
     """Resource limits shared by all suites."""
 
-    max_order: int = 200_000
+    max_order: int = ELEMENT_CAP
     lattice_max_order: int = LATTICE_ORDER_CAP
     k_cap: Optional[int] = None
     jobs: int = 1

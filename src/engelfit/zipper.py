@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import PreconditionError, ResourceLimitError
 from .group import GroupHandle, derived, generated_by
@@ -187,18 +187,19 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
         branch = "dichotomy_failed"
 
     failures: list[str] = []
+    stable_terms: list[GroupHandle] = []
     for m in maximal_over:
         series = normal_closure_descent(sub, m)
         failures.extend(f"maximal {m.order}: {msg}"
                         for msg in descent_lemma_failures(sub, series))
+        stable_terms.append(series[-1])
         stable = series[-1].elements()
         for l in omega:
             if l.elements() <= m.elements() and not l.elements() <= stable:
                 failures.append(
                     f"self-closing subgroup of order {l.order} escapes the "
                     f"descent value in a maximal of order {m.order}")
-    unique_val = (unique_max_element_check(group, sub, lattice)
-                  if maximal_over else False)
+    unique_val = _unique_maximal(stable_terms)
     if unique_val != (len(maximal_over) == 1):
         failures.append(f"{len(maximal_over)} maximal overgroups, but a unique "
                         f"maximal descent value is {unique_val}")
@@ -220,8 +221,11 @@ def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
     maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
     if not maximal_over:
         raise PreconditionError("the subgroup lies in no maximal subgroup")
-    values: dict[frozenset[Permutation], GroupHandle] = {}
-    for m in maximal_over:
-        v = normal_closure_descent(sub, m)[-1]
-        values.setdefault(v.elements(), v)
-    return len(maximal_members(values.values())) == 1
+    return _unique_maximal(normal_closure_descent(sub, m)[-1] for m in maximal_over)
+
+
+def _unique_maximal(terms: Iterable[GroupHandle]) -> bool:
+    """Whether the subgroups `terms` have exactly one maximal element under
+    inclusion (False for none)."""
+    distinct = {t.elements(): t for t in terms}
+    return len(maximal_members(distinct.values())) == 1

@@ -48,6 +48,23 @@ def test_nonpositive_count_is_a_usage_error(flag, capsys):
     assert err.startswith("usage:") and f"argument {flag}: '0' is not a positive integer" in err
 
 
+def test_bare_run_defaults_are_the_caps_defaults(monkeypatch):
+    import engelfit.cli
+    from engelfit.suites import Caps
+
+    class Captured(Exception):
+        pass
+
+    def capture(suites, entries, caps, corpus_name):
+        raise Captured(caps)
+
+    monkeypatch.setattr(engelfit.cli, "get_corpus", lambda name: (name, []))
+    monkeypatch.setattr(engelfit.cli, "run_suites", capture)
+    with pytest.raises(Captured) as exc:
+        main(["run"])
+    assert exc.value.args[0] == Caps()
+
+
 def test_exit_code_two_on_malformed_builtin_argument(capsys):
     assert main(["run", "--suite", "baer", "--corpus", "builtin:cyclic(abc)"]) == 2
     assert "takes one integer argument" in capsys.readouterr().err

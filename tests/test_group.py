@@ -1,14 +1,16 @@
-"""Group closure, stabilizer chains, and conjugacy classes."""
+"""Group closure and conjugacy classes, checked against the stabilizer-chain
+oracle in ``tests/schreier_sims.py``."""
 
 import itertools
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from engelfit import group as group_module
 from engelfit.errors import ResourceLimitError
-from engelfit.group import (ELEMENT_CAP, GroupHandle, StabilizerChain, _bfs_closure,
-                            close_group, generated_by)
+from engelfit.group import ELEMENT_CAP, GroupHandle, _bfs_closure, close_group, generated_by
 from engelfit.perm import Permutation, commutator, parse_cycles
+from tests.schreier_sims import StabilizerChain
 
 
 def sym(n):
@@ -42,19 +44,41 @@ def test_cap_exceeded_carries_partial_count():
     assert err.value.partial_count == 1
 
 
+def chain(group):
+    """The stabilizer chain of a group's generators."""
+    return StabilizerChain(group.generators, group.degree)
+
+
+@pytest.mark.parametrize("gens", [[], [parse_cycles("(1 2)", 2), parse_cycles("(1 2 3)", 3)]],
+                         ids=["empty", "mixed-degree"])
+def test_close_group_rejects_bad_generators_before_closing(gens, monkeypatch):
+    def no_closure(*args):
+        raise AssertionError("closure started before the generators were checked")
+    monkeypatch.setattr(group_module, "_bfs_closure", no_closure)
+    with pytest.raises(ValueError):
+        close_group(gens)
+
+
+def test_group_handle_rejects_mixed_degree_generators():
+    gens = (parse_cycles("(1 2)", 2), parse_cycles("(1 2)", 3))
+    with pytest.raises(ValueError):
+        GroupHandle(gens, elements=gens)
+
+
 def test_chain_order_matches_closure_on_families():
     for g in [sym(3), sym(4), sym(5), alt(4), alt(5),
               close_group([parse_cycles("(1 2 3 4 5 6)", 6)]),
               close_group([parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)])]:
-        assert g.chain.order == len(g.elements())
+        assert chain(g).order == len(g.elements())
 
 
 def test_chain_membership_agrees_with_element_set():
-    s4 = sym(4)
+    s4_chain = chain(sym(4))
     a4 = alt(4)
+    a4_chain = chain(a4)
     for p in map(Permutation, itertools.permutations(range(4))):
-        assert s4.chain.contains(p)
-        assert a4.chain.contains(p) == (p in a4.elements())
+        assert s4_chain.contains(p)
+        assert a4_chain.contains(p) == (p in a4.elements())
 
 
 def test_chain_base_is_ascending_moved_points():
@@ -63,7 +87,7 @@ def test_chain_base_is_ascending_moved_points():
                            parse_cycles("(5 6)", 6)]),
               close_group([parse_cycles("(5 6 7)", 7)])]
     for g in groups:
-        base = g.chain.base
+        base = chain(g).base
         assert list(base) == sorted(set(base))
         moved = sorted({p for e in g.elements() for p in e.moved_points()})
         assert set(base) <= set(moved)
@@ -161,8 +185,8 @@ def test_commuting_iff_trivial_commutator():
 @settings(max_examples=30)
 @given(st.lists(st.permutations(range(5)).map(Permutation), min_size=1, max_size=3))
 def test_chain_vs_closure_on_random_generating_sets(gens):
-    g = GroupHandle(gens)
-    assert g.chain.order == len(g.elements())
+    g = close_group(gens)
+    assert chain(g).order == len(g.elements())
 
 
 @st.composite

@@ -159,8 +159,7 @@ def test_zipper_reports_a_wrong_unique_maximal_characterization(monkeypatch):
     import engelfit.zipper as zipper_mod
     s4 = sym(4)
     lattice = all_subgroups(s4)
-    monkeypatch.setattr(zipper_mod, "unique_max_element_check",
-                        lambda group, sub, lattice=None: False)
+    monkeypatch.setattr(zipper_mod, "_unique_maximal", lambda terms: False)
     sub = generated_by([parse_cycles("(1 2 3 4)", 4)])
     case = zipper_case(s4, sub, lattice)
     assert case.lemma_failures == (
