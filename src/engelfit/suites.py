@@ -7,7 +7,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .corpus import CorpusEntry, rebuild_entry
 from .engel import (AutomorphismMap, baer_membership,
@@ -23,7 +23,8 @@ from .series import (_gen_fitting_by_socle, fitting_subgroup,
                      upper_insoluble_series)
 from .subgrp import (is_normal_in, is_subnormal, normal_closure,
                      normal_subgroups, pull_back, quotient)
-from .zipper import LATTICE_ORDER_CAP, all_subgroups, zipper_case
+from .zipper import (LATTICE_ORDER_CAP, SubgroupLattice, all_subgroups,
+                     zipper_case)
 
 __all__ = ["Caps", "SUITE_ORDER", "SUITE_STATEMENTS", "run_suites", "analyze_text"]
 
@@ -54,6 +55,8 @@ SUITE_STATEMENTS = {
                           "subnormality versus exhaustive chain search, "
                           "pinned known values",
 }
+
+T = TypeVar("T")
 
 REGULAR_QUOTIENT_CAP = 500
 EXHAUSTIVE_CAP = 2_000
@@ -106,6 +109,12 @@ def _sample_elements(entry: CorpusEntry,
 
     Every element when the group is small; beyond the exhaustive cap each
     class representative with itself (with a note saying so).
+
+    Conjugation by g in G carries the Engel sets [G,_k x] onto [G,_k x^g],
+    the subgroups they generate and the descent terms of x onto those of
+    x^g, and fixes F(G), F*_h(G) and R_h(G), which are normal.  So the
+    Baer test and every per-element fact is a class function, and its
+    value at the class representative is its value at x.
     """
     group = entry.group
     classes = group.conjugacy_classes()
@@ -119,29 +128,26 @@ def _sample_elements(entry: CorpusEntry,
         yield x, classes.representative_of[x]
 
 
-def _by_class(entry: CorpusEntry, caps: Caps, notes: list[str],
-              fact: partial) -> Iterator[tuple[Permutation, object]]:
-    """Pairs (x, fact(x)) for the sampled x, evaluating `fact` once per class.
+def _by_class(pairs: Iterable[tuple[T, T]], caps: Caps, fact: partial,
+              label: Callable[[T], str] = str) -> Iterator[tuple[T, object]]:
+    """Pairs (x, fact(x)) for each (x, representative of x's class) in
+    `pairs`, evaluating the class function `fact` once per class.
 
-    Conjugation by g in G carries the Engel sets [G,_k x] onto [G,_k x^g],
-    the subgroups they generate and the descent terms of x onto those of
-    x^g, and fixes F(G), F*_h(G) and R_h(G), which are normal.  So the
-    Baer test and every per-element fact is a class function, and its
-    value at the class representative is its value at x.  With
-    crosschecks on, the least non-representative of each class of size
-    > 1 is evaluated as well; a disagreement is an engine bug.
+    With crosschecks on, the first non-representative met in each class
+    of size > 1 is evaluated as well; a disagreement is an engine bug,
+    named by `label`.
     """
-    values: dict[Permutation, object] = {}
-    spot_checked: set[Permutation] = set()
-    for x, rep in _sample_elements(entry, notes):
+    values: dict[T, object] = {}
+    spot_checked: set[T] = set()
+    for x, rep in pairs:
         if rep not in values:
             values[rep] = fact(rep)
         if caps.crosschecks and x != rep and rep not in spot_checked:
             spot_checked.add(rep)
             if fact(x) != values[rep]:
                 raise ConsistencyError(
-                    f"{fact.func.__name__} differs between {x} and its class "
-                    f"representative {rep}")
+                    f"{fact.func.__name__} differs between {label(x)} and its class "
+                    f"representative {label(rep)}")
         yield x, values[rep]
 
 
@@ -180,14 +186,15 @@ def _element_facts(group: GroupHandle, x: Permutation, caps: Caps) -> _ElementFa
 
 def _facts_by_class(entry: CorpusEntry, caps: Caps,
                     notes: list[str]) -> Iterator[tuple[Permutation, _ElementFacts]]:
-    return _by_class(entry, caps, notes, partial(_element_facts, entry.group, caps=caps))
+    return _by_class(_sample_elements(entry, notes), caps,
+                     partial(_element_facts, entry.group, caps=caps))
 
 
 def _suite_baer(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
     group = entry.group
     fitting = fitting_subgroup(group)
     collapses = partial(baer_membership, group, k_cap=caps.k_cap)
-    for x, left in _by_class(entry, caps, out.notes, collapses):
+    for x, left in _by_class(_sample_elements(entry, out.notes), caps, collapses):
         right = fitting.contains(x)
         out.record(left == right, x=x, engel_collapses=left, in_fitting=right)
 
@@ -232,22 +239,50 @@ def _suite_cor15(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
         out.record(not problems, x=x, problems="; ".join(problems))
 
 
+def _zipper_facts(group: GroupHandle, lattice: SubgroupLattice,
+                  sub: GroupHandle) -> Optional[tuple[str, tuple[str, ...]]]:
+    """The branch and the sorted lemma failures of `sub`'s zipper case, or
+    None when thm13 does not apply (`sub` is G, or ⟨sub^G⟩ < G)."""
+    if sub.order >= group.order or not normal_closure(sub, group).same_elements(group):
+        return None
+    case = zipper_case(group, sub, lattice)
+    return case.branch, tuple(sorted(case.lemma_failures))
+
+
+def _generators(sub: GroupHandle) -> str:
+    return " ".join(map(str, sub.generators))
+
+
 def _suite_thm13(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
+    """One case per proper subgroup A with ⟨A^G⟩ = G, in lattice order.
+
+    Conjugation by g in G permutes the lattice keeping inclusion and
+    order, so it maps the maximal subgroups onto the maximal subgroups,
+    and it carries ⟨A^H⟩ onto ⟨(A^g)^(H^g)⟩.  So ⟨A^G⟩ = G holds for A
+    exactly when it holds for A^g, and the self-closing overgroups, their
+    join, the maximal overgroups and their descents for A^g are the
+    images of those for A.  Every lemma failure mentions only orders and
+    indices, so the filter, the branch and the lemma failures are class
+    functions, evaluated once per class of subgroups on its first member
+    in lattice order; the spot check takes its second.  The failures are
+    sorted because they come in the fingerprint order of the maximal
+    overgroups, which conjugation does not keep.
+    """
     group = entry.group
     if group.order > caps.lattice_max_order:
         out.notes.append(f"group {entry.name}: order {group.order} exceeds "
                          f"lattice cap {caps.lattice_max_order}; skipped")
         return
     lattice = all_subgroups(group, max_order=caps.lattice_max_order)
-    for sub in lattice.members:
-        if sub.order >= group.order:
+    pairs = ((sub, lattice.representative_of[sub.elements()]) for sub in lattice.members)
+    fact = partial(_zipper_facts, group, lattice)
+    for sub, facts in _by_class(pairs, caps, fact, lambda h: f"<{_generators(h)}>"):
+        if facts is None:
             continue
-        if not normal_closure(sub, group).same_elements(group):
-            continue
-        case = zipper_case(group, sub, lattice)
-        out.record(case.branch != "dichotomy_failed" and not case.lemma_failures,
-                   subgroup=" ".join(map(str, sub.generators)), branch=case.branch,
-                   lemma_failures="; ".join(case.lemma_failures) or "none")
+        branch, failures = facts
+        out.record(branch != "dichotomy_failed" and not failures,
+                   subgroup=_generators(sub), branch=branch,
+                   lemma_failures="; ".join(failures) or "none")
 
 
 def _whole_descent_automorphisms(
@@ -458,6 +493,8 @@ def _run_entry(recipe: tuple, suite_ids: tuple[str, ...],
             # partial counts are dropped: the suite reports only the cap
             out = _Outcome(suite, entry.name, resource_hit=True)
             out.notes.append(f"group {entry.name}: resource limit: {exc}")
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"group {entry.name}: suite {suite}: {exc}") from exc
         results[suite] = out
     return results
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import PreconditionError, ResourceLimitError
@@ -27,11 +27,15 @@ LATTICE_MEMBER_CAP = 20_000
 
 @dataclass(frozen=True)
 class SubgroupLattice:
-    """Every subgroup of a group, sorted by (order, fingerprint), and the
-    maximal proper subgroups among them in the same order."""
+    """Every subgroup of a group, sorted by (order, fingerprint), the
+    maximal proper subgroups among them in the same order, and the
+    representative of every member's conjugacy class (its first member
+    in lattice order), keyed by the member's element set."""
 
     members: tuple[GroupHandle, ...]
     maximal: tuple[GroupHandle, ...]
+    representative_of: dict[frozenset[Permutation], GroupHandle] = field(
+        repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -90,16 +94,18 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
 
 @derived
 def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
-    seen: set[frozenset[Permutation]] = set()
+    representative_of: dict[frozenset[Permutation], GroupHandle] = {}
     class_reps: list[GroupHandle] = []
     members: list[GroupHandle] = []
 
     def register(handle: GroupHandle) -> None:
-        if handle.elements() in seen:
+        if handle.elements() in representative_of:
             return
+        # an orbit shares one order and is sorted by fingerprint, so its
+        # first member comes first in lattice order too
         orbit = _conjugate_orbit(group, handle)
         for h in orbit:
-            seen.add(h.elements())
+            representative_of[h.elements()] = orbit[0]
             members.append(h)
         if len(members) > member_cap:
             raise ResourceLimitError(
@@ -124,7 +130,8 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
 
     members.sort(key=lambda h: (h.order, h.fingerprint))
     # the group itself is the one member of top order
-    return SubgroupLattice(tuple(members), tuple(maximal_members(members[:-1])))
+    return SubgroupLattice(tuple(members), tuple(maximal_members(members[:-1])),
+                           representative_of)
 
 
 def descent_lemma_failures(sub: GroupHandle,

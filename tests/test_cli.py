@@ -85,6 +85,22 @@ def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):
     assert err.startswith("engine consistency error: stabilizer chain order")
 
 
+def test_a_consistency_error_in_a_suite_names_its_entry_and_suite(monkeypatch, capsys):
+    import engelfit.suites
+    from engelfit.errors import ConsistencyError
+
+    def broken_suite(entry, caps, out):
+        raise ConsistencyError("two routes disagree")
+
+    monkeypatch.setitem(engelfit.suites._SUITE_FNS, "baer", broken_suite)
+    code = main(["run", "--suite", "baer", "--corpus", "builtin:symmetric(3)",
+                 "--jobs", "1"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine consistency error: group symmetric(3): "
+                          "suite baer: two routes disagree")
+
+
 def test_analyze_s4(capsys):
     code = main(["analyze", "--corpus", "builtin:symmetric(4)",
                  "--group", "symmetric(4)"])

@@ -1,4 +1,5 @@
-"""Per-element suites evaluate Engel facts once per conjugacy class."""
+"""Per-element suites evaluate Engel facts once per conjugacy class, and
+thm13 evaluates the zipper case once per conjugacy class of subgroups."""
 
 import dataclasses
 import functools
@@ -7,9 +8,12 @@ import re
 import pytest
 
 import engelfit.suites as suites_mod
+import engelfit.zipper as zipper_mod
 from engelfit.corpus import builtin
 from engelfit.errors import ConsistencyError
+from engelfit.subgrp import normal_closure
 from engelfit.suites import Caps, run_suites
+from engelfit.zipper import all_subgroups
 
 
 def _spot_checked(group):
@@ -81,3 +85,98 @@ def test_baer_collapse_at_the_cap_is_a_pass():
     c6 = builtin("cyclic(6)", "c6")
     report = run_suites(["baer"], [c6], Caps(k_cap=1), "capped")
     assert [(s.cases, s.passes, s.resource_hit) for s in report.suites] == [(6, 6, False)]
+
+
+def _thm13_classes(group):
+    """The thm13 cases' lattice members, grouped by class in lattice order."""
+    lattice = all_subgroups(group)
+    classes = {}
+    for sub in lattice.members:
+        if sub.order < group.order and normal_closure(sub, group).same_elements(group):
+            rep = lattice.representative_of[sub.elements()]
+            classes.setdefault(rep.elements(), []).append(sub)
+    return list(classes.values())
+
+
+def _generators(sub):
+    return " ".join(map(str, sub.generators))
+
+
+def _patch_zipper(monkeypatch, targets):
+    """zipper_case, with the branch flipped on the subgroups `targets`; the
+    returned list holds the element set of every subgroup it was run on."""
+    real = suites_mod.zipper_case
+    flip = {"join_is_whole": "unique_maximal", "unique_maximal": "join_is_whole"}
+    runs = []
+
+    def patched(group, sub, lattice=None):
+        runs.append(sub.elements())
+        case = real(group, sub, lattice)
+        if sub.elements() in targets:
+            case = dataclasses.replace(case, branch=flip[case.branch])
+        return case
+
+    monkeypatch.setattr(suites_mod, "zipper_case", patched)
+    return runs
+
+
+def test_a_zipper_case_that_differs_on_the_spot_checked_subgroup_is_an_engine_bug(
+        monkeypatch):
+    s4 = builtin("symmetric(4)", "s4")
+    rep, target = _thm13_classes(s4.group)[-1][:2]
+    _patch_zipper(monkeypatch, {target.elements()})
+    with pytest.raises(ConsistencyError, match=re.escape(
+            f"group s4: suite thm13: _zipper_facts differs between "
+            f"<{_generators(target)}> and its class representative "
+            f"<{_generators(rep)}>")) as exc:
+        run_suites(["thm13"], [s4], Caps(), "faulty")
+    assert isinstance(exc.value.__cause__, ConsistencyError)
+
+
+@pytest.mark.parametrize("spec, cases, classes", [
+    ("symmetric(4)", 19, 5), ("alternating(5)", 57, 7), ("symmetric(5)", 96, 9)])
+def test_thm13_runs_the_zipper_case_once_per_class_of_subgroups(
+        monkeypatch, spec, cases, classes):
+    entry = builtin(spec)
+    found = _thm13_classes(entry.group)
+    assert (sum(map(len, found)), len(found)) == (cases, classes)
+    runs = _patch_zipper(monkeypatch, {cls[1].elements() for cls in found})
+    report = run_suites(["thm13"], [entry], Caps(crosschecks=False), "faulty")
+    assert report.status == "pass"
+    assert [(s.cases, s.passes) for s in report.suites] == [(cases, cases)]
+    assert runs == [cls[0].elements() for cls in found]
+
+
+@pytest.mark.parametrize("spec, cases, classes", [
+    ("symmetric(4)", 19, 5), ("alternating(5)", 57, 7), ("symmetric(5)", 96, 9)])
+def test_with_crosschecks_thm13_runs_the_zipper_case_twice_per_class(
+        monkeypatch, spec, cases, classes):
+    entry = builtin(spec)
+    found = _thm13_classes(entry.group)
+    runs = _patch_zipper(monkeypatch, set())
+    report = run_suites(["thm13"], [entry], Caps(), "spot-checked")
+    assert [(s.cases, s.passes) for s in report.suites] == [(cases, cases)]
+    assert len(found) == classes
+    assert len(runs) == 2 * classes
+    assert set(runs) == {sub.elements() for cls in found for sub in cls[:2]}
+
+
+def test_every_subgroup_is_a_case_with_its_own_payload(monkeypatch):
+    # fail every descent, once per maximal overgroup, naming its term
+    # orders; the maximal overgroups of a transposition in S5 give three
+    # different messages, in an order that conjugation changes
+    monkeypatch.setattr(zipper_mod, "descent_lemma_failures", lambda sub, series: [
+        "descent " + ",".join(str(t.order) for t in series)])
+    s5 = builtin("symmetric(5)", "s5")
+    report = run_suites(["thm13"], [s5], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (96, 0)
+    lattice = all_subgroups(s5.group)
+    members = sorted((sub for cls in _thm13_classes(s5.group) for sub in cls),
+                     key=lambda h: (h.order, h.fingerprint))
+    assert [dict(v.detail)["subgroup"] for v in suite.violations] == list(
+        map(_generators, members))
+    # each member's text is its own sorted failures, so conjugates agree
+    assert [dict(v.detail)["lemma_failures"] for v in suite.violations] == [
+        "; ".join(sorted(zipper_mod.zipper_case(s5.group, sub, lattice).lemma_failures))
+        for sub in members]

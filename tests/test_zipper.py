@@ -70,6 +70,38 @@ def test_lattice_closed_under_join_and_intersection():
             assert join(a, b).elements() in sets
 
 
+def _classes(lattice):
+    """Member element sets grouped by their recorded class representative."""
+    classes = {}
+    for m in lattice.members:
+        rep = lattice.representative_of[m.elements()]
+        classes.setdefault(rep.elements(), set()).add(m.elements())
+    return classes
+
+
+@pytest.mark.parametrize("group, members, classes", [
+    (sym(3), 6, 4), (alt(4), 10, 5), (sym(4), 30, 11), (alt(5), 59, 9),
+    (sym(5), 156, 19)], ids=["s3", "a4", "s4", "a5", "s5"])
+def test_lattice_classes_are_the_conjugacy_classes_of_subgroups(group, members, classes):
+    lattice = all_subgroups(group)
+    found = _classes(lattice)
+    assert (len(lattice), len(found)) == (members, classes)
+    for rep, members_of_class in found.items():
+        conjugates = {frozenset(e.conjugate(g) for e in rep) for g in group.elements()}
+        assert members_of_class == conjugates
+
+
+def test_each_class_representative_is_its_first_member_in_lattice_order():
+    lattice = all_subgroups(sym(4))
+    met = set()
+    for m in lattice.members:
+        rep = lattice.representative_of[m.elements()]
+        if rep.elements() not in met:
+            met.add(rep.elements())
+            assert rep is m
+    assert len(met) == 11
+
+
 def test_lattice_order_cap():
     with pytest.raises(ResourceLimitError):
         all_subgroups(sym(5), max_order=100)
