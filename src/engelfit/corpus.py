@@ -31,17 +31,15 @@ MAX_DEGREE = 1024
 
 @dataclass(frozen=True)
 class CorpusEntry:
-    """One named group with its attached automorphisms.
-
-    ``recipe`` is a picklable reconstruction key: ("builtin", spec) or
-    ("file", name, text); worker processes rebuild entries from it.
+    """One named group with its attached automorphisms, each validated
+    once when the entry is built.  Entries pickle whole, elements and
+    automorphism tables included, so worker processes run them as loaded.
     """
 
     name: str
     group: GroupHandle
     automorphisms: tuple[tuple[str, AutomorphismMap], ...]
     provenance: str
-    recipe: tuple
 
     def automorphism(self, name: str) -> AutomorphismMap:
         for n, a in self.automorphisms:
@@ -203,9 +201,8 @@ def builtin(spec: str, name: Optional[str] = None) -> CorpusEntry:
         group, autos = _holomorph_ext(builtin(raw_args[0]), raw_args[1])
     else:
         raise ParseError(f"unknown builtin family {family!r}")
-    canonical = spec.replace(" ", "")
-    return CorpusEntry(name or canonical, group, tuple(autos),
-                       provenance="builtin", recipe=("builtin", canonical, name or canonical))
+    return CorpusEntry(name or spec.replace(" ", ""), group, tuple(autos),
+                       provenance="builtin")
 
 
 # Curated standard corpus: builtins spanning generalized Fitting heights
@@ -325,8 +322,7 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
         except Exception as exc:
             raise ParseError(
                 f"automorphism {auto_name!r} of group {name!r} is invalid: {exc}") from exc
-    return CorpusEntry(name, group, tuple(built_autos), provenance,
-                       recipe=("file", name, text))
+    return CorpusEntry(name, group, tuple(built_autos), provenance)
 
 
 def serialize_group_file(entry: CorpusEntry) -> str:
@@ -365,12 +361,3 @@ def get_corpus(selector: str) -> tuple[str, list[CorpusEntry]]:
         return entry.name, [entry]
     name = Path(selector).name or "corpus"
     return name, load_corpus(selector)
-
-
-def rebuild_entry(recipe: tuple) -> CorpusEntry:
-    """Reconstruct an entry from its recipe (used by worker processes)."""
-    if recipe[0] == "builtin":
-        return builtin(recipe[1], recipe[2])
-    if recipe[0] == "file":
-        return parse_group_file(recipe[2], provenance="worker")
-    raise ValueError(f"unknown recipe kind {recipe[0]!r}")

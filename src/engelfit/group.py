@@ -26,9 +26,9 @@ ELEMENT_CAP = 200_000
 
 # Values of @derived functions, keyed by (function, element set of each
 # GroupHandle argument, the other arguments).  The suite runner clears it,
-# with the permutation intern table, at the start of each corpus entry, so
-# every entry starts from the same state in any worker and an entry's
-# values are freed when the next starts.
+# and resets the permutation intern table to the entry's elements, at the
+# start of each corpus entry, so every entry starts from the same state in
+# any worker and an entry's values are freed when the next starts.
 _DERIVED: dict[tuple, object] = {}
 
 
@@ -52,11 +52,11 @@ def derived(fn):
     return cached
 
 
-def clear_derived() -> None:
+def clear_derived(keep: Iterable[Permutation] = ()) -> None:
     """Drop every value cached by @derived functions and every interned
-    permutation."""
+    permutation but those of `keep`, which stay interned."""
     _DERIVED.clear()
-    clear_interned()
+    clear_interned(keep)
 
 
 @dataclass(frozen=True)
@@ -201,32 +201,40 @@ def close_group(generators: Iterable[Permutation], cap: int = ELEMENT_CAP) -> Gr
 
 
 def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
-                 cap: int = ELEMENT_CAP) -> GroupHandle:
-    """Subgroup generated by the given permutations, with a reduced generator list.
+                 cap: int = ELEMENT_CAP, *,
+                 base: Optional[GroupHandle] = None) -> GroupHandle:
+    """⟨base, perms⟩, grown from the element set of `base` (the trivial
+    group when None), with a reduced generator list.
 
-    Permutations already generated by earlier ones are dropped, so the
-    stored generator count stays logarithmic in the group order.  An empty
-    input yields the trivial group (degree required).
+    The generators are `base`'s followed by each permutation, in sorted
+    order, not generated by those before it, so the stored generator count
+    stays logarithmic in the group order; `base` itself comes back when
+    every permutation lies in it.  Without `base`, an empty input yields
+    the trivial group (degree required).
 
     Each kept generator grows the group by Dimino's coset extension
     (Butler, *Fundamental Algorithms for Permutation Groups*, 1991): with
     H the group so far, the new group is a union of right cosets H·r,
-    found by multiplying each coset representative by every kept
-    generator.
+    found by multiplying each coset representative by every generator.
     """
     items = sorted(set(perms))
-    if not items:
-        if degree is None:
-            raise ValueError("degree required for an empty generating set")
-        return GroupHandle.trivial(degree)
-    degree = items[0].degree
-    gens: list[Permutation] = []
-    current = {Permutation.identity(degree)}
+    if base is None:
+        if not items:
+            if degree is None:
+                raise ValueError("degree required for an empty generating set")
+            return GroupHandle.trivial(degree)
+        base = GroupHandle.trivial(items[0].degree)
+    current = set(base.elements())
+    # the trivial group's one generator, the identity, only fills the tuple
+    gens = [] if base.is_trivial() else list(base.generators)
+    kept = len(gens)
     for x in items:
         if x not in current:
             gens.append(x)
             _extend_by_cosets(current, gens, cap)
-    return GroupHandle(tuple(gens) or (Permutation.identity(degree),), elements=current)
+    if len(gens) == kept:
+        return base
+    return GroupHandle(gens, elements=current)
 
 
 def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation], cap: int) -> None:

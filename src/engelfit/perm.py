@@ -131,10 +131,11 @@ class Permutation:
 
 # One object per image tuple built by _raw, so equal-set tests and dict
 # lookups between interned permutations stop at CPython's identity check
-# before calling __eq__.  `group.clear_derived` empties it at the start of
-# each corpus entry.  Equality never depends on it: permutations from the
-# validated constructor, from unpickling or from before a clear are not
-# interned and still compare and hash equal by their images.
+# before calling __eq__.  `group.clear_derived` resets it to the corpus
+# entry's elements at the start of each entry.  Equality never depends on
+# it: permutations from the validated constructor, from unpickling or from
+# before a clear are not interned and still compare and hash equal by
+# their images.
 _INTERNED: dict[tuple[int, ...], Permutation] = {}
 
 
@@ -149,9 +150,11 @@ def _raw(images: tuple[int, ...]) -> Permutation:
     return p
 
 
-def clear_interned() -> None:
-    """Forget every interned permutation."""
+def clear_interned(keep: Iterable[Permutation] = ()) -> None:
+    """Forget every interned permutation except those of `keep`, which
+    become the interned objects for their images."""
     _INTERNED.clear()
+    _INTERNED.update((p.images, p) for p in keep)
 
 
 _CYCLE = re.compile(r"\(([^()]*)\)")

@@ -51,10 +51,15 @@ def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> Group
 
 
 def join(*handles: GroupHandle, degree: Optional[int] = None) -> GroupHandle:
-    """⟨A ∪ B ∪ …⟩; with no handles, the trivial group of `degree`."""
+    """⟨A ∪ B ∪ …⟩, grown from the largest handle (the first of the
+    largest order); with no handles, the trivial group of `degree`."""
+    if not handles:
+        return generated_by((), degree=degree)
     if len({h.degree for h in handles}) > 1:
         raise ValueError("degree mismatch in join")
-    return generated_by([g for h in handles for g in h.generators], degree=degree)
+    base = max(handles, key=lambda h: h.order)
+    return generated_by([g for h in handles if h is not base for g in h.generators],
+                        base=base)
 
 
 def maximal_members(handles: Iterable[GroupHandle]) -> list[GroupHandle]:
@@ -79,7 +84,7 @@ def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
         for g in ambient.generators:
             conj = s.conjugate(g)
             if conj not in current.elements():
-                current = generated_by(current.generators + (conj,))
+                current = generated_by((conj,), base=current)
                 pending.append(conj)
     for s in current.generators:  # closure is ambient-invariant by construction
         for g in ambient.generators:
@@ -226,8 +231,7 @@ class QuotientMap:
 
     def preimage_of(self, sub: GroupHandle) -> GroupHandle:
         """⟨kernel ∪ lifts of sub's generators⟩, the full preimage of sub."""
-        lifts = tuple(self.lift(q) for q in sub.generators)
-        return generated_by(self.kernel.generators + lifts)
+        return generated_by([self.lift(q) for q in sub.generators], base=self.kernel)
 
 
 def quotient(group: GroupHandle, kernel: GroupHandle) -> QuotientMap:
@@ -280,6 +284,13 @@ def normal_subgroups(group: GroupHandle,
     Every normal subgroup is a union of conjugacy classes and hence the
     join of the closures of its class representatives, so this enumerates
     the full normal lattice.
+
+    Each round joins the pairs in (order, fingerprint) order and keeps
+    every join not found yet.  It joins only the pairs with a member added
+    in the round before: the join of two older members was met in an
+    earlier round, and the join of a nested pair is its larger member, so
+    both are found already and skipping them keeps every member and its
+    generators.
     """
     found: dict[frozenset[Permutation], GroupHandle] = {}
     trivial = GroupHandle.trivial(group.degree)
@@ -287,11 +298,16 @@ def normal_subgroups(group: GroupHandle,
     for rep in group.conjugacy_classes().representatives:
         closure = normal_closure(generated_by([rep], degree=group.degree), group)
         found.setdefault(closure.elements(), closure)
-    while True:
+    fresh = set(found)
+    while fresh:
         snapshot = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
-        added = False
+        added: set[frozenset[Permutation]] = set()
         for i, a in enumerate(snapshot):
             for b in snapshot[i + 1:]:
+                if a.elements() not in fresh and b.elements() not in fresh:
+                    continue
+                if a.is_subset_of(b):  # sorted by order, so only this way round
+                    continue
                 j = join(a, b)
                 if j.elements() not in found:
                     if len(found) >= count_cap:
@@ -299,9 +315,8 @@ def normal_subgroups(group: GroupHandle,
                             f"normal lattice count cap {count_cap} exceeded",
                             partial_count=len(found))
                     found[j.elements()] = j
-                    added = True
-        if not added:
-            break
+                    added.add(j.elements())
+        fresh = added
     members = tuple(sorted(found.values(), key=lambda h: (h.order, h.fingerprint)))
     for m in members:
         if not is_normal_in(m, group):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
-from .corpus import CorpusEntry, rebuild_entry
+from .corpus import CorpusEntry
 from .engel import (AutomorphismMap, baer_membership,
                     centralizer_intersection_check, commutator_descent,
                     engel_chain, j_set)
@@ -471,10 +471,11 @@ _SUITE_FNS: dict[str, Callable[[CorpusEntry, Caps, _Outcome], None]] = {
 }
 
 
-def _run_entry(recipe: tuple, suite_ids: tuple[str, ...],
+def _run_entry(entry: CorpusEntry, suite_ids: tuple[str, ...],
                caps: Caps) -> dict[str, _Outcome]:
-    clear_derived()
-    entry = rebuild_entry(recipe)
+    """Each suite's outcome on one entry, starting from an empty memo with
+    only the entry's elements interned, in this process or a worker."""
+    clear_derived(keep=entry.group.elements())
     results: dict[str, _Outcome] = {}
     for suite in suite_ids:
         out = _Outcome(suite, entry.name)
@@ -503,20 +504,19 @@ def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
                caps: Caps, corpus_name: str) -> VerdictReport:
     """Run the selected suites over a corpus and assemble the verdict report.
 
-    Work is split per corpus entry; results are merged in canonical
-    (suite order, entry name) order so reports are identical for any job
-    count.
+    Work is split per corpus entry, pickled whole to the workers when
+    ``caps.jobs > 1``; results are merged in canonical (suite order, entry
+    name) order so reports are identical for any job count.
     """
     suite_ids = tuple(suite_ids)
     started = time.monotonic()
     entries = sorted(entries, key=lambda e: e.name)
     run = partial(_run_entry, suite_ids=suite_ids, caps=caps)
-    recipes = [e.recipe for e in entries]
     if caps.jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=caps.jobs) as pool:
-            results = list(pool.map(run, recipes))  # in input order
+            results = list(pool.map(run, entries))  # in input order
     else:
-        results = [run(recipe) for recipe in recipes]
+        results = [run(entry) for entry in entries]
     per_entry = {e.name: outs for e, outs in zip(entries, results)}
 
     suite_results = []

@@ -82,8 +82,12 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
     representative is extended by one generator per double coset, and each
     new class is expanded to its full conjugation orbit.  Every subgroup
     is reachable this way because any subgroup is a one-element extension
-    of any of its maximal subgroups.  The order cap is checked outside the
-    cached lattice, so calls with different caps share one lattice.
+    of any of its maximal subgroups.  Each extension ⟨H, g⟩ grows from H's
+    elements.  The trivial group is not extended: its extensions are the
+    cyclic subgroups ⟨g⟩, and each is ⟨r⟩^x for the representative r of
+    g's class and some x, registered with the orbit of the seed ⟨r⟩.  The
+    order cap is checked outside the cached lattice, so calls with
+    different caps share one lattice.
     """
     if group.order > max_order:
         raise ResourceLimitError(
@@ -117,7 +121,7 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
     for rep in group.conjugacy_classes().representatives:
         register(generated_by([rep], degree=group.degree))
 
-    i = 0
+    i = 1  # class_reps[0] is the trivial group, whose extensions are seeded
     while i < len(class_reps):
         base = class_reps[i]
         i += 1
@@ -126,7 +130,7 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
         for g in _double_coset_reps(group, base):
             if base.contains(g):
                 continue
-            register(generated_by(base.generators + (g,)))
+            register(generated_by((g,), base=base))
 
     members.sort(key=lambda h: (h.order, h.fingerprint))
     # the group itself is the one member of top order

@@ -231,3 +231,66 @@ def test_generated_by_cap_below_order_raises(perms, data):
     with pytest.raises(ResourceLimitError):
         generated_by(perms, cap=cap)
     assert generated_by(perms, cap=order).order == order
+
+
+@st.composite
+def subgroup_and_perms(draw):
+    """A subgroup H = ⟨gens⟩ of S_n for a drawn n <= 6, and permutations of
+    the same degree to grow it by."""
+    n = draw(st.integers(1, 6))
+    perm = st.permutations(range(n)).map(Permutation)
+    base = generated_by(draw(st.lists(perm, min_size=1, max_size=3)))
+    return base, draw(st.lists(perm, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(subgroup_and_perms())
+def test_generated_by_grows_from_a_base_subgroup(case):
+    base, perms = case
+    grown = generated_by(perms, base=base)
+    whole = generated_by(base.generators + tuple(perms))
+    assert grown.elements() == whole.elements()
+    assert grown.order == StabilizerChain([*base.generators, *perms], base.degree).order
+    if base.is_trivial():
+        assert grown.same_elements(generated_by(perms, degree=base.degree))
+    else:
+        assert grown.generators[:len(base.generators)] == base.generators
+    assert grown.elements() == frozenset(
+        _bfs_closure(grown.generators, base.degree, ELEMENT_CAP))
+
+
+def test_generated_by_returns_the_base_when_nothing_is_new():
+    s4 = sym(4)
+    assert generated_by(s4.sorted_elements()[:5], base=s4) is s4
+    assert generated_by([], base=s4) is s4
+    c4 = generated_by([parse_cycles("(1 2 3 4)", 4)])
+    assert generated_by([parse_cycles("(1 3)(2 4)", 4)], base=c4) is c4
+    # (2 4) sorts first and already gives D4, so (1 3) is not kept
+    grown = generated_by([parse_cycles("(1 3)", 4), parse_cycles("(2 4)", 4)], base=c4)
+    assert grown.order == 8 and grown.generators == (*c4.generators, parse_cycles("(2 4)", 4))
+
+
+def test_generated_by_from_a_base_fails_at_the_cap():
+    c4 = generated_by([parse_cycles("(1 2 3 4)", 4)])
+    transposition = [parse_cycles("(1 2)", 4)]
+    with pytest.raises(ResourceLimitError):
+        generated_by(transposition, cap=23, base=c4)
+    assert generated_by(transposition, cap=24, base=c4).order == 24
+
+
+def test_clear_derived_keeps_only_the_given_permutations_interned():
+    from engelfit import perm as perm_module
+
+    s4 = sym(4)
+    outside = generated_by([parse_cycles("(1 2 3 4 5)", 5)])
+    keep = s4.elements()
+    group_module.clear_derived(keep=keep)
+    assert perm_module._INTERNED == {p.images: p for p in keep}
+    assert all(perm_module._INTERNED[p.images] is p for p in keep)
+    kept = {p: p for p in keep}
+    for a in s4.sorted_elements()[:6]:
+        for b in s4.sorted_elements():
+            assert a * b is kept[a * b]
+        assert a.inverse() is kept[a.inverse()]
+    assert Permutation.identity(4) is kept[Permutation.identity(4)]
+    assert not any(p.images in perm_module._INTERNED for p in outside.elements())

@@ -310,3 +310,44 @@ def test_subgroup_of_validates_membership():
 def test_derived_subgroup_cached_consistently():
     s4 = sym(4)
     assert derived_subgroup(s4) is derived_subgroup(s4)
+
+
+@pytest.fixture(scope="module")
+def lattice_groups():
+    from engelfit.corpus import small_std
+    groups = {e.name: e.group for e in small_std()}
+    # all 67 of its subgroups are normal, and some are first reached by
+    # joining a member from an earlier round with a new one
+    groups["c2^4"] = close_group([parse_cycles(c, 8)
+                                  for c in ("(1 2)", "(3 4)", "(5 6)", "(7 8)")])
+    return groups
+
+
+@pytest.mark.parametrize("name", ["s4", "d6", "c12", "s4xs3", "c2^4"])
+def test_normal_lattice_is_the_normal_part_of_the_full_lattice(lattice_groups, name):
+    from engelfit.zipper import all_subgroups
+    group = lattice_groups[name]
+    expected = {m.elements() for m in all_subgroups(group).members
+                if is_normal_in(m, group)}
+    members = normal_subgroups(group)
+    assert {m.elements() for m in members} == expected
+    reference = _normal_lattice_joining_every_pair(group)
+    assert [(m.elements(), m.generators) for m in members] == [
+        (m.elements(), m.generators) for m in reference]
+
+
+def _normal_lattice_joining_every_pair(group):
+    """Reference for `normal_subgroups`: each round joins every pair."""
+    found = {}
+    for rep in group.conjugacy_classes().representatives:
+        closure = normal_closure(generated_by([rep], degree=group.degree), group)
+        found.setdefault(closure.elements(), closure)
+    while True:
+        snapshot = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
+        before = len(found)
+        for i, a in enumerate(snapshot):
+            for b in snapshot[i + 1:]:
+                j = join(a, b)
+                found.setdefault(j.elements(), j)
+        if len(found) == before:
+            return sorted(found.values(), key=lambda h: (h.order, h.fingerprint))

@@ -3,16 +3,20 @@ thm13 evaluates the zipper case once per conjugacy class of subgroups."""
 
 import dataclasses
 import functools
+import hashlib
+import pickle
 import re
+import sys
 
 import pytest
 
 import engelfit.suites as suites_mod
 import engelfit.zipper as zipper_mod
-from engelfit.corpus import builtin
+from engelfit.corpus import builtin, small_std
 from engelfit.errors import ConsistencyError
 from engelfit.subgrp import normal_closure
-from engelfit.suites import Caps, run_suites
+from engelfit.report import render_report
+from engelfit.suites import SUITE_ORDER, Caps, _run_entry, run_suites
 from engelfit.zipper import all_subgroups
 
 
@@ -180,3 +184,31 @@ def test_every_subgroup_is_a_case_with_its_own_payload(monkeypatch):
     assert [dict(v.detail)["lemma_failures"] for v in suite.violations] == [
         "; ".join(sorted(zipper_mod.zipper_case(s5.group, sub, lattice).lemma_failures))
         for sub in members]
+
+
+@pytest.fixture(scope="module")
+def small_std_entries():
+    return small_std()
+
+
+@pytest.mark.parametrize("name", ["a5", "holo_c5_inv", "s4xs3"])
+def test_a_pickled_entry_gives_the_outcomes_of_the_loaded_one(small_std_entries, name):
+    entry = next(e for e in small_std_entries if e.name == name)
+    copy = pickle.loads(pickle.dumps(entry))
+    assert copy.group is not entry.group and copy.group.same_elements(entry.group)
+    assert _run_entry(copy, SUITE_ORDER, Caps()) == _run_entry(entry, SUITE_ORDER, Caps())
+
+
+def test_suites_run_on_the_loaded_entries_without_rebuilding_them(
+        small_std_entries, monkeypatch):
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a loaded entry was rebuilt")
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("engelfit")]:
+        for attr in ("parse_group_file", "builtin", "close_group"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, rebuilt)
+    text = render_report(run_suites(SUITE_ORDER, small_std_entries, Caps(), "small-std"))
+    assert text.count("\n") == 261
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "38fdd281dd848caf8f1d5b47a55fb857708d8696dd7026e4587f2abb52821253")
