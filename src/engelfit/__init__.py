@@ -14,20 +14,18 @@ from .subgrp import (QuotientMap, center, centralizer, commutator_subgroup,
                      derived_series, derived_subgroup, is_nilpotent, is_perfect,
                      is_quasisimple, is_simple, is_soluble, is_subnormal, join,
                      lower_central_series, minimal_normals, normal_closure,
-                     normal_closure_descent, normal_core, normal_subgroups,
-                     quotient, socle, subgroup_of)
+                     normal_closure_descent, normal_subgroups, quotient, socle)
 from .series import (CharacteristicProfile, characteristic_profile,
                      fitting_height, fitting_series, fitting_subgroup,
                      gen_fitting_height, gen_fitting_series,
-                     generalized_fitting, insoluble_length, layer, o_p_core,
-                     odd_core, soluble_radical, upper_insoluble_series)
+                     generalized_fitting, insoluble_length, layer, odd_core,
+                     soluble_radical, upper_insoluble_series)
 from .engel import (AutomorphismMap, CentralizerCheck, EngelChain,
                     InvolutionReport, baer_membership,
                     centralizer_intersection_check, commutator_descent,
-                    commutator_with_actor, engel_chain, fixed_subgroup,
-                    holomorph_extension, inner, j_set, make_automorphism)
-from .zipper import (SubgroupLattice, ZipperCase, all_subgroups,
-                     unique_max_element_check, zipper_case)
+                    engel_chain, fixed_subgroup, holomorph_extension, inner,
+                    j_set, make_automorphism)
+from .zipper import SubgroupLattice, ZipperCase, all_subgroups, zipper_case
 from .corpus import (CorpusEntry, builtin, get_corpus, load_corpus,
                      parse_group_file, serialize_group_file, small_std)
 from .report import (GroupSummary, SuiteResult, VerdictReport, Violation,

@@ -272,10 +272,14 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
         keyword = parts[0]
         rest = parts[1].strip() if len(parts) > 1 else ""
         if keyword == "name":
+            if name is not None:
+                raise ParseError(f"line {lineno}: repeated name line")
             if not re.fullmatch(r"[A-Za-z0-9_\-]+", rest):
                 raise ParseError(f"line {lineno}: bad name {rest!r}")
             name = rest
         elif keyword == "degree":
+            if degree is not None:
+                raise ParseError(f"line {lineno}: repeated degree line")
             # the length test keeps int() off digit strings too long to convert
             if (not rest.isdecimal() or len(rest.lstrip("0")) > len(str(MAX_DEGREE))
                     or not 1 <= int(rest) <= MAX_DEGREE):
@@ -298,6 +302,8 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
         elif keyword == "map":
             if not autos:
                 raise ParseError(f"line {lineno}: map outside an auto block")
+            if degree is None:
+                raise ParseError(f"line {lineno}: map before degree")
             try:
                 autos[-1][1].append(parse_cycles(rest, degree))
             except ParseError as exc:

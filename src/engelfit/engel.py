@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Optional, Union
 
 from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
@@ -19,7 +20,6 @@ __all__ = [
     "make_automorphism",
     "inner",
     "fixed_subgroup",
-    "commutator_with_actor",
     "engel_chain",
     "commutator_descent",
     "baer_membership",
@@ -117,7 +117,6 @@ def make_automorphism(group: GroupHandle, images, *,
 
 
 def _mapping_order(group: GroupHandle, mapping: dict) -> int:
-    from math import lcm
     seen: set[Permutation] = set()
     order = 1
     for start in group.sorted_elements():
@@ -160,13 +159,6 @@ def _actor_conjugation(actor: Actor) -> Callable[[Permutation], Permutation]:
     if isinstance(actor, AutomorphismMap):
         return lambda g: actor.mapping[g]
     return lambda g: g.conjugate(actor)
-
-
-def commutator_with_actor(group: GroupHandle, g: Permutation, actor: Actor) -> Permutation:
-    """[g, actor]: g^-1 x^-1 g x for an inner actor x, g^-1 α(g) for α."""
-    if not group.contains(g):
-        raise ValueError(f"{g} is not a member of the group")
-    return _commutator_fn(group, actor)(g)
 
 
 @dataclass(frozen=True)

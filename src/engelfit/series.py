@@ -14,7 +14,6 @@ from .subgrp import (centralizer, is_nilpotent, is_quasisimple, is_soluble,
 __all__ = [
     "CharacteristicProfile",
     "fitting_subgroup",
-    "o_p_core",
     "odd_core",
     "soluble_radical",
     "layer",
@@ -27,13 +26,6 @@ __all__ = [
     "upper_insoluble_series",
     "characteristic_profile",
 ]
-
-def _is_prime_power(n: int, p: int) -> bool:
-    if n == 1:
-        return True
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def _join_members(group: GroupHandle, keep) -> GroupHandle:
@@ -48,13 +40,6 @@ def fitting_subgroup(group: GroupHandle) -> GroupHandle:
     if not is_nilpotent(fitting):
         raise ConsistencyError("join of nilpotent normal subgroups is not nilpotent")
     return fitting
-
-
-def o_p_core(group: GroupHandle, p: int) -> GroupHandle:
-    """Largest normal p-subgroup."""
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise ValueError(f"{p} is not prime")
-    return _join_members(group, lambda h: _is_prime_power(h.order, p))
 
 
 def odd_core(group: GroupHandle) -> GroupHandle:

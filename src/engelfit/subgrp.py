@@ -11,13 +11,11 @@ from .perm import Permutation, commutator
 
 __all__ = [
     "QuotientMap",
-    "subgroup_of",
     "join",
     "maximal_members",
     "normal_closure",
     "centralizer",
     "center",
-    "normal_core",
     "commutator_subgroup",
     "derived_subgroup",
     "derived_series",
@@ -39,15 +37,6 @@ __all__ = [
 ]
 
 LATTICE_COUNT_CAP = 50_000
-
-
-def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> GroupHandle:
-    """Build a subgroup of `parent`, checking every generator's membership."""
-    gens = list(generators)
-    for g in gens:
-        if not parent.contains(g):
-            raise ValueError(f"generator {g} is not a member of the parent group")
-    return generated_by(gens, degree=parent.degree)
 
 
 def join(*handles: GroupHandle, degree: Optional[int] = None) -> GroupHandle:
@@ -107,20 +96,6 @@ def centralizer(group: GroupHandle, perms: Iterable[Permutation]) -> GroupHandle
 @derived
 def center(group: GroupHandle) -> GroupHandle:
     return centralizer(group, group.generators)
-
-
-def normal_core(group: GroupHandle, sub: GroupHandle) -> GroupHandle:
-    """∩_{g∈G} sub^g: the largest normal subgroup of `group` inside `sub`."""
-    if not sub.is_subset_of(group):
-        raise ValueError("core target is not a subgroup of the group")
-    current = set(sub.elements())
-    while True:
-        survivors = {h for h in current
-                     if all(h.conjugate(g) in current for g in group.generators)}
-        if survivors == current:
-            break
-        current = survivors
-    return generated_by(current, degree=group.degree)
 
 
 def commutator_subgroup(h: GroupHandle, k: GroupHandle,

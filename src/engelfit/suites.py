@@ -17,8 +17,8 @@ from .errors import ConsistencyError, ResourceLimitError
 from .group import ELEMENT_CAP, GroupHandle, clear_derived, derived
 from .perm import Permutation
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
-from .series import (_gen_fitting_by_socle, fitting_subgroup,
-                     gen_fitting_height, gen_fitting_series,
+from .series import (_gen_fitting_by_socle, characteristic_profile,
+                     fitting_subgroup, gen_fitting_height, gen_fitting_series,
                      generalized_fitting, insoluble_length,
                      upper_insoluble_series)
 from .subgrp import (is_normal_in, is_subnormal, normal_closure,
@@ -541,7 +541,6 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False,
     """Deterministic profile text for one group (characteristic subgroups,
     series, and optionally per-element Engel facts)."""
     caps = caps or Caps()
-    from .series import characteristic_profile
     group = entry.group
     profile = characteristic_profile(group)
     lines = [f"group {entry.name}",

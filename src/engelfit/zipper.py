@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .errors import PreconditionError, ResourceLimitError
 from .group import GroupHandle, derived, generated_by
@@ -17,7 +17,6 @@ __all__ = [
     "all_subgroups",
     "descent_lemma_failures",
     "zipper_case",
-    "unique_max_element_check",
     "LATTICE_ORDER_CAP",
 ]
 
@@ -167,18 +166,14 @@ class ZipperCase:
     never expected).
     """
 
-    y_join: GroupHandle
     maximal_over: tuple[GroupHandle, ...]
     branch: str
     lemma_failures: tuple[str, ...]
-    unique_max_descent_value: bool
 
 
 def zipper_case(group: GroupHandle, sub: GroupHandle,
-                lattice: Optional[SubgroupLattice] = None) -> ZipperCase:
+                lattice: SubgroupLattice) -> ZipperCase:
     """Scan the lattice for the generation dichotomy around one subgroup."""
-    if lattice is None:
-        lattice = all_subgroups(group)
     if not normal_closure(sub, group).same_elements(group):
         raise PreconditionError("requires the subgroup's normal closure to be the whole group")
     sub_elems = sub.elements()
@@ -188,9 +183,8 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
             continue
         if normal_closure(sub, h).same_elements(h):
             omega.append(h)
-    y = join(sub, *omega)
     maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
-    if y.same_elements(group):
+    if join(sub, *omega).same_elements(group):
         branch = "join_is_whole"
     elif len(maximal_over) == 1:
         branch = "unique_maximal"
@@ -214,25 +208,8 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
     if unique_val != (len(maximal_over) == 1):
         failures.append(f"{len(maximal_over)} maximal overgroups, but a unique "
                         f"maximal descent value is {unique_val}")
-    return ZipperCase(
-        y_join=y,
-        maximal_over=tuple(maximal_over),
-        branch=branch,
-        lemma_failures=tuple(failures),
-        unique_max_descent_value=unique_val,
-    )
-
-
-def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
-                             lattice: Optional[SubgroupLattice] = None) -> bool:
-    """Whether {F(A, H) : H maximal over A} has a unique maximal element."""
-    if lattice is None:
-        lattice = all_subgroups(group)
-    sub_elems = sub.elements()
-    maximal_over = [m for m in lattice.maximal if sub_elems <= m.elements()]
-    if not maximal_over:
-        raise PreconditionError("the subgroup lies in no maximal subgroup")
-    return _unique_maximal(normal_closure_descent(sub, m)[-1] for m in maximal_over)
+    return ZipperCase(maximal_over=tuple(maximal_over), branch=branch,
+                      lemma_failures=tuple(failures))
 
 
 def _unique_maximal(terms: Iterable[GroupHandle]) -> bool:

@@ -70,6 +70,16 @@ def test_exit_code_two_on_malformed_builtin_argument(capsys):
     assert "takes one integer argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "name y\nauto a\nmap (1 2)\n",
+    "name x\ndegree 3\ngen (1 2 3)\ndegree 4\ngen (1 2 3 4)\n",
+], ids=["map-before-degree", "repeated-degree"])
+def test_exit_code_two_on_malformed_group_file(tmp_path, capsys, text):
+    (tmp_path / "bad.grp").write_text(text)
+    assert main(["run", "--suite", "baer", "--corpus", str(tmp_path)]) == 2
+    assert "error: line " in capsys.readouterr().err
+
+
 def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):
     # an engine bug must not be reported as a resource cap (exit 2)
     import engelfit.cli

@@ -109,6 +109,12 @@ def test_parse_group_file_errors_carry_line_numbers():
         parse_group_file("generator (1 2)\n")
     with pytest.raises(ParseError, match="line 2"):
         parse_group_file("name x\nmap (1 2)\n")
+    with pytest.raises(ParseError, match="line 3: map before degree"):
+        parse_group_file("name y\nauto a\nmap (1 2)\n")
+    with pytest.raises(ParseError, match="line 4: repeated degree line"):
+        parse_group_file("name x\ndegree 3\ngen (1 2 3)\ndegree 4\ngen (1 2 3 4)\n")
+    with pytest.raises(ParseError, match="line 3: repeated name line"):
+        parse_group_file("name x\ndegree 3\nname y\ngen (1 2 3)\n")
 
 
 def test_parse_group_file_bounds_the_degree():

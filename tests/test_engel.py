@@ -4,15 +4,16 @@ import pytest
 
 from engelfit.corpus import builtin
 from engelfit.engel import (baer_membership, centralizer_intersection_check,
-                            commutator_descent, commutator_with_actor,
-                            engel_chain, fixed_subgroup, holomorph_extension,
-                            inner, j_set, make_automorphism)
+                            commutator_descent, engel_chain, fixed_subgroup,
+                            holomorph_extension, inner, j_set,
+                            make_automorphism)
 from engelfit.errors import (AutomorphismError, ConsistencyError,
                              PreconditionError, ResourceLimitError)
 from engelfit.group import close_group, generated_by
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.series import fitting_subgroup
 from engelfit.subgrp import is_nilpotent
+from tests.oracles import commutator_with_actor
 from tests.test_group import alt, sym
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from engelfit.corpus import builtin
+from engelfit.corpus import builtin, small_std
 from engelfit.errors import PreconditionError
 from engelfit.group import GroupHandle, close_group, generated_by
 from engelfit.perm import parse_cycles
@@ -10,11 +10,11 @@ from engelfit.series import (_gen_fitting_by_socle, characteristic_profile,
                              fitting_height, fitting_series, fitting_subgroup,
                              gen_fitting_height, gen_fitting_series,
                              generalized_fitting, insoluble_length, layer,
-                             o_p_core, odd_core, soluble_radical,
-                             upper_insoluble_series)
+                             odd_core, soluble_radical, upper_insoluble_series)
 from engelfit.subgrp import (center, centralizer, commutator_subgroup,
                              is_nilpotent, is_normal_in, is_perfect,
-                             is_soluble, normal_subgroups, quotient)
+                             is_soluble, join, normal_subgroups, quotient)
+from tests.oracles import o_p_core
 from tests.test_group import alt, sym
 
 V4_TEXTS = ["()", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"]
@@ -38,6 +38,17 @@ def test_p_cores_of_s4():
     s4 = sym(4)
     assert o_p_core(s4, 2).order == 4
     assert o_p_core(s4, 3).order == 1
+
+
+@pytest.mark.parametrize("entry", [e for e in small_std() if e.group.order <= 720],
+                         ids=lambda e: e.name)
+def test_fitting_is_the_product_of_the_p_cores(entry):
+    # F(G) = ∏_p O_p(G): a second route to the F(G) the baer suite reads
+    group = entry.group
+    primes = [p for p in range(2, group.order + 1)
+              if group.order % p == 0 and all(p % d for d in range(2, p))]
+    cores = join(*(o_p_core(group, p) for p in primes), degree=group.degree)
+    assert cores.same_elements(fitting_subgroup(group))
 
 
 def test_odd_core_and_radical():

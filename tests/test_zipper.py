@@ -7,8 +7,8 @@ from engelfit.group import close_group, generated_by
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.subgrp import is_subnormal, join, normal_closure
 from engelfit.zipper import (all_subgroups, descent_lemma_failures,
-                             normal_closure_descent, unique_max_element_check,
-                             zipper_case)
+                             normal_closure_descent, zipper_case)
+from tests.oracles import self_closing_join, unique_max_element_check
 from tests.test_group import alt, sym
 from tests.test_subgroups import closure_oracle
 
@@ -160,29 +160,30 @@ def test_zipper_four_cycle_in_s4():
     sub = generated_by([parse_cycles("(1 2 3 4)", 4)])
     case = zipper_case(s4, sub, lattice)
     assert case.branch == "unique_maximal"
-    assert case.y_join.order == 4
+    assert self_closing_join(s4, sub, lattice).order == 4
     assert [m.order for m in case.maximal_over] == [8]
-    assert case.unique_max_descent_value
+    assert unique_max_element_check(s4, sub, lattice) is True
     assert case.lemma_failures == ()
 
 
 def test_zipper_transposition_in_s3():
     s3 = sym(3)
     sub = generated_by([parse_cycles("(1 2)", 3)])
-    case = zipper_case(s3, sub, all_subgroups(s3))
+    lattice = all_subgroups(s3)
+    case = zipper_case(s3, sub, lattice)
     assert case.branch == "unique_maximal"
-    assert case.y_join.order == 2
-    assert case.y_join.same_elements(sub)
+    assert self_closing_join(s3, sub, lattice).same_elements(sub)
 
 
 def test_zipper_transposition_in_s4_joins_whole():
     s4 = sym(4)
     sub = generated_by([parse_cycles("(1 2)", 4)])
-    case = zipper_case(s4, sub, all_subgroups(s4))
+    lattice = all_subgroups(s4)
+    case = zipper_case(s4, sub, lattice)
     assert case.branch == "join_is_whole"
-    assert case.y_join.same_elements(s4)
+    assert self_closing_join(s4, sub, lattice).same_elements(s4)
     assert len(case.maximal_over) > 1
-    assert not case.unique_max_descent_value
+    assert not unique_max_element_check(s4, sub, lattice)
 
 
 def test_zipper_reports_a_wrong_unique_maximal_characterization(monkeypatch):
@@ -222,7 +223,9 @@ def test_unique_max_element_check_cases():
     s4 = sym(4)
     lattice = all_subgroups(s4)
     sub = generated_by([parse_cycles("(1 2)(3 4)", 4)])
-    assert unique_max_element_check(s4, sub, lattice) in (True, False)
+    # ⟨(1 2)(3 4)⟩ lies in 4 maximal subgroups (three D4 and A4); the
+    # characterization does not apply, since ⟨A^G⟩ = V4 ≠ G
+    assert unique_max_element_check(s4, sub, lattice) is True
     # a subgroup inside exactly one maximal is trivially unique
     sub8 = generated_by([parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 3)", 4)])
     assert unique_max_element_check(s4, sub8, lattice)
@@ -231,6 +234,21 @@ def test_unique_max_element_check_cases():
     assert unique_max_element_check(s4, v4, lattice)
     with pytest.raises(PreconditionError):
         unique_max_element_check(s4, s4, lattice)
+
+
+@pytest.mark.parametrize("group, checked", [
+    (sym(3), 3), (sym(4), 19), (alt(4), 4), (alt(5), 57)], ids=["s3", "s4", "a4", "a5"])
+def test_unique_maximal_descent_value_iff_one_maximal_overgroup(group, checked):
+    # for a proper A with ⟨A^G⟩ = G, the descent values F(A, M) over the
+    # maximal overgroups M have a unique maximal element exactly when A
+    # lies in one maximal subgroup
+    lattice = all_subgroups(group)
+    subs = [sub for sub in lattice.members if sub.order < group.order
+            and normal_closure(sub, group).same_elements(group)]
+    assert len(subs) == checked
+    for sub in subs:
+        one_maximal = sum(sub.is_subset_of(m) for m in lattice.maximal) == 1
+        assert unique_max_element_check(group, sub, lattice) == one_maximal
 
 
 def test_flavell_remark_on_subnormal_overgroups():
