@@ -39,7 +39,6 @@ class CorpusEntry:
     name: str
     group: GroupHandle
     automorphisms: tuple[tuple[str, AutomorphismMap], ...]
-    provenance: str
 
     def automorphism(self, name: str) -> AutomorphismMap:
         for n, a in self.automorphisms:
@@ -201,8 +200,7 @@ def builtin(spec: str, name: Optional[str] = None) -> CorpusEntry:
         group, autos = _holomorph_ext(builtin(raw_args[0]), raw_args[1])
     else:
         raise ParseError(f"unknown builtin family {family!r}")
-    return CorpusEntry(name or spec.replace(" ", ""), group, tuple(autos),
-                       provenance="builtin")
+    return CorpusEntry(name or spec.replace(" ", ""), group, tuple(autos))
 
 
 # Curated standard corpus: builtins spanning generalized Fitting heights
@@ -246,20 +244,32 @@ def small_std() -> list[CorpusEntry]:
     for item in sorted(data_dir.iterdir(), key=lambda p: p.name):
         if item.name.endswith(".grp"):
             entries.append(parse_group_file(item.read_text(), provenance=f"data/{item.name}"))
-    entries.sort(key=lambda e: e.name)
+    return _by_name(entries, "the standard corpus")
+
+
+def _by_name(entries: list[CorpusEntry], where: str) -> list[CorpusEntry]:
+    """`entries` sorted by name; a repeated name is a ParseError."""
+    entries = sorted(entries, key=lambda e: e.name)
     names = [e.name for e in entries]
     if len(set(names)) != len(names):
-        raise ParseError("duplicate entry names in the standard corpus")
+        raise ParseError(f"duplicate entry names in {where}")
     return entries
 
 
 def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
-    """Parse the line-based group format.
+    """Parse the line-based group format; a ParseError names `provenance`.
 
     Grammar: ``name <id>``, ``degree <n>``, ``gen <cycles>``, then optional
     ``auto <id>`` blocks each followed by one ``map <cycles>`` line per
     generator in declaration order.  ``#`` starts a comment.
     """
+    try:
+        return _parse_group_text(text)
+    except ParseError as exc:
+        raise ParseError(f"{provenance}: {exc}") from exc
+
+
+def _parse_group_text(text: str) -> CorpusEntry:
     name: Optional[str] = None
     degree: Optional[int] = None
     gens: list[Permutation] = []
@@ -316,7 +326,7 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
         raise ParseError("missing degree line")
     if not gens:
         raise ParseError("missing gen lines")
-    group = close_group(gens, cap=ELEMENT_CAP)
+    group = close_group(gens)
     built_autos = []
     for auto_name, images in autos:
         if len(images) != len(gens):
@@ -328,7 +338,7 @@ def parse_group_file(text: str, provenance: str = "<string>") -> CorpusEntry:
         except Exception as exc:
             raise ParseError(
                 f"automorphism {auto_name!r} of group {name!r} is invalid: {exc}") from exc
-    return CorpusEntry(name, group, tuple(built_autos), provenance)
+    return CorpusEntry(name, group, tuple(built_autos))
 
 
 def serialize_group_file(entry: CorpusEntry) -> str:
@@ -348,14 +358,9 @@ def load_corpus(directory) -> list[CorpusEntry]:
     path = Path(directory)
     if not path.is_dir():
         raise ParseError(f"corpus directory {directory!r} does not exist")
-    entries = []
-    for f in sorted(path.glob("*.grp")):
-        entries.append(parse_group_file(f.read_text(), provenance=str(f)))
-    entries.sort(key=lambda e: e.name)
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise ParseError(f"duplicate entry names in corpus {directory!r}")
-    return entries
+    entries = [parse_group_file(f.read_text(), provenance=str(f))
+               for f in sorted(path.glob("*.grp"))]
+    return _by_name(entries, f"corpus {directory!r}")
 
 
 def get_corpus(selector: str) -> tuple[str, list[CorpusEntry]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Callable, Optional, Union
 
 from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
@@ -62,14 +61,13 @@ class AutomorphismMap:
         return f"<automorphism of order {self.order} on group of order {self.group.order}>"
 
 
-def make_automorphism(group: GroupHandle, images, *,
-                      pair_check_cap: int = PAIR_CHECK_CAP) -> AutomorphismMap:
+def make_automorphism(group: GroupHandle, images) -> AutomorphismMap:
     """Extend generator images to a validated element-level automorphism.
 
     The table is grown along the Cayley graph, checking every
     (element, generator) edge, which proves the extension is a
     homomorphism; bijectivity then follows from a size check.  For groups
-    of order at most ``pair_check_cap`` the multiplicativity of every
+    of order at most ``PAIR_CHECK_CAP`` the multiplicativity of every
     element pair is additionally verified.
     """
     images = tuple(images)
@@ -106,31 +104,20 @@ def make_automorphism(group: GroupHandle, images, *,
                 raise AutomorphismError("images do not define a bijection",
                                         pair=(seen[fg], g))
             seen[fg] = g
-    if len(mapping) <= pair_check_cap:
+    if len(mapping) <= PAIR_CHECK_CAP:
         for a in mapping:
             fa = mapping[a]
             for b in mapping:
                 if mapping[a * b] != fa * mapping[b]:
                     raise AutomorphismError(
                         "images do not define a homomorphism", pair=(a, b))
-    return AutomorphismMap(group, images, mapping, _mapping_order(group, mapping))
-
-
-def _mapping_order(group: GroupHandle, mapping: dict) -> int:
-    seen: set[Permutation] = set()
-    order = 1
-    for start in group.sorted_elements():
-        if start in seen:
-            continue
-        length = 1
-        seen.add(start)
-        x = mapping[start]
-        while x != start:
-            seen.add(x)
-            length += 1
-            x = mapping[x]
-        order = lcm(order, length)
-    return order
+    # an automorphism is determined by its generator images, so its order
+    # is the least n >= 1 whose n-th power fixes every generator
+    order, power = 1, images
+    while power != group.generators:
+        power = tuple(mapping[x] for x in power)
+        order += 1
+    return AutomorphismMap(group, images, mapping, order)
 
 
 def inner(group: GroupHandle, t: Permutation) -> AutomorphismMap:
@@ -264,7 +251,6 @@ def baer_membership(group: GroupHandle, x: Permutation,
 class InvolutionReport:
     """Odd-order inverted elements of an involutory automorphism."""
 
-    alpha: AutomorphismMap
     j_elements: frozenset
     two_part: int
     generated_j: GroupHandle
@@ -289,7 +275,6 @@ def j_set(group: GroupHandle, alpha: AutomorphismMap) -> InvolutionReport:
     odd = [g for g in inverted if g.order() % 2 == 1]
     two_part = max(p_part(g, 2) for g in inverted)
     return InvolutionReport(
-        alpha=alpha,
         j_elements=frozenset(odd),
         two_part=two_part,
         generated_j=generated_by(odd, degree=group.degree),
@@ -322,16 +307,15 @@ def centralizer_intersection_check(group: GroupHandle,
                             generated_by(expected, degree=group.degree))
 
 
-def holomorph_extension(group: GroupHandle, alpha: AutomorphismMap,
-                        cap: int = EXTENSION_CAP) -> GroupHandle:
+def holomorph_extension(group: GroupHandle, alpha: AutomorphismMap) -> GroupHandle:
     """⟨right translations of G, permutation of α⟩ acting on the element set.
 
     This realizes ⟨G, α⟩ inside the holomorph as a permutation group of
     degree |G|.
     """
-    if group.order > cap:
+    if group.order > EXTENSION_CAP:
         raise ResourceLimitError(
-            f"extension cap {cap} exceeded by group of order {group.order}",
+            f"extension cap {EXTENSION_CAP} exceeded by group of order {group.order}",
             partial_count=group.order)
     elems = group.sorted_elements()
     index = {e: i for i, e in enumerate(elems)}

@@ -194,14 +194,14 @@ def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> se
     return elements
 
 
-def close_group(generators: Iterable[Permutation], cap: int = ELEMENT_CAP) -> GroupHandle:
-    """Materialize the group generated by `generators` (fails loudly at cap)."""
+def close_group(generators: Iterable[Permutation]) -> GroupHandle:
+    """Materialize the group generated by `generators` (fails loudly at
+    ``ELEMENT_CAP``)."""
     gens = tuple(generators)
-    return GroupHandle(gens, elements=_bfs_closure(gens, _common_degree(gens), cap))
+    return GroupHandle(gens, elements=_bfs_closure(gens, _common_degree(gens), ELEMENT_CAP))
 
 
-def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
-                 cap: int = ELEMENT_CAP, *,
+def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None, *,
                  base: Optional[GroupHandle] = None) -> GroupHandle:
     """⟨base, perms⟩, grown from the element set of `base` (the trivial
     group when None), with a reduced generator list.
@@ -231,18 +231,18 @@ def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None,
     for x in items:
         if x not in current:
             gens.append(x)
-            _extend_by_cosets(current, gens, cap)
+            _extend_by_cosets(current, gens)
     if len(gens) == kept:
         return base
     return GroupHandle(gens, elements=current)
 
 
-def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation], cap: int) -> None:
+def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation]) -> None:
     """Grow the group `elements` in place to ⟨elements, gens[-1]⟩.
 
     `elements` must be the group generated by ``gens[:-1]``.  Every coset
-    is added whole, so the cap is checked before a coset is added and a
-    failure leaves no partial group behind for the caller to return.
+    is added whole, so ``ELEMENT_CAP`` is checked before a coset is added
+    and a failure leaves no partial group behind for the caller to return.
     """
     sub = list(elements)
     reps = [gens[-1]]
@@ -252,9 +252,9 @@ def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation], cap: 
         i += 1
         if r in elements:
             continue
-        if len(elements) + len(sub) > cap:
+        if len(elements) + len(sub) > ELEMENT_CAP:
             raise ResourceLimitError(
-                f"element cap {cap} exceeded during closure",
+                f"element cap {ELEMENT_CAP} exceeded during closure",
                 partial_count=len(elements))
         elements.update(h * r for h in sub)
         reps.extend(r * s for s in gens)

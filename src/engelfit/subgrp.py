@@ -62,12 +62,12 @@ def maximal_members(handles: Iterable[GroupHandle]) -> list[GroupHandle]:
 
 @derived
 def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
-    """⟨sub^ambient⟩: the smallest normal subgroup of `ambient` containing `sub`."""
+    """⟨sub^ambient⟩: the smallest normal subgroup of `ambient` containing
+    `sub`, grown from the elements of `sub`, which must lie in `ambient`."""
     if sub.degree != ambient.degree:
         raise ValueError("degree mismatch in normal closure")
-    gens = [g for g in sub.generators if not g.is_identity()]
-    current = generated_by(gens, degree=ambient.degree)
-    pending = list(current.generators)
+    current = sub
+    pending = list(sub.generators)
     while pending:
         s = pending.pop()
         for g in ambient.generators:
@@ -75,10 +75,8 @@ def normal_closure(sub: GroupHandle, ambient: GroupHandle) -> GroupHandle:
             if conj not in current.elements():
                 current = generated_by((conj,), base=current)
                 pending.append(conj)
-    for s in current.generators:  # closure is ambient-invariant by construction
-        for g in ambient.generators:
-            if s.conjugate(g) not in current.elements():
-                raise ConsistencyError("normal closure is not ambient-invariant")
+    if not is_normal_in(current, ambient):  # normal by construction
+        raise ConsistencyError("normal closure is not ambient-invariant")
     return current
 
 
@@ -251,8 +249,7 @@ def pull_back(group: GroupHandle, kernel: GroupHandle,
 
 
 @derived
-def normal_subgroups(group: GroupHandle,
-                     count_cap: int = LATTICE_COUNT_CAP) -> tuple[GroupHandle, ...]:
+def normal_subgroups(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """Join-closure of the normal closures of class representatives,
     sorted by (order, fingerprint).
 
@@ -285,9 +282,9 @@ def normal_subgroups(group: GroupHandle,
                     continue
                 j = join(a, b)
                 if j.elements() not in found:
-                    if len(found) >= count_cap:
+                    if len(found) >= LATTICE_COUNT_CAP:
                         raise ResourceLimitError(
-                            f"normal lattice count cap {count_cap} exceeded",
+                            f"normal lattice count cap {LATTICE_COUNT_CAP} exceeded",
                             partial_count=len(found))
                     found[j.elements()] = j
                     added.add(j.elements())

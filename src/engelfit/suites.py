@@ -536,11 +536,9 @@ def run_suites(suite_ids: Iterable[str], entries: list[CorpusEntry],
                          elapsed=time.monotonic() - started)
 
 
-def analyze_text(entry: CorpusEntry, include_elements: bool = False,
-                 caps: Optional[Caps] = None) -> str:
+def analyze_text(entry: CorpusEntry, include_elements: bool = False) -> str:
     """Deterministic profile text for one group (characteristic subgroups,
     series, and optionally per-element Engel facts)."""
-    caps = caps or Caps()
     group = entry.group
     profile = characteristic_profile(group)
     lines = [f"group {entry.name}",
@@ -562,7 +560,7 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False,
                  " <= ".join(str(t.order) for t in r))
     if include_elements:
         notes: list[str] = []
-        scanned = list(_facts_by_class(entry, caps, notes))
+        scanned = list(_facts_by_class(entry, Caps(), notes))
         lines.extend(f"  note {note}" for note in notes)
         for x, facts in scanned:
             lines.append(f"  element {x} engel-collapse "

@@ -73,8 +73,7 @@ def _double_coset_reps(group: GroupHandle, sub: GroupHandle) -> list[Permutation
     return reps
 
 
-def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
-                  member_cap: int = LATTICE_MEMBER_CAP) -> SubgroupLattice:
+def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP) -> SubgroupLattice:
     """Enumerate every subgroup by cyclic seeding and one-element extensions.
 
     Subgroup conjugacy classes are grown breadth-first: each class
@@ -92,11 +91,11 @@ def all_subgroups(group: GroupHandle, max_order: int = LATTICE_ORDER_CAP,
         raise ResourceLimitError(
             f"lattice order cap {max_order} exceeded by group of order {group.order}",
             partial_count=0)
-    return _subgroup_lattice(group, member_cap)
+    return _subgroup_lattice(group)
 
 
 @derived
-def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
+def _subgroup_lattice(group: GroupHandle) -> SubgroupLattice:
     representative_of: dict[frozenset[Permutation], GroupHandle] = {}
     class_reps: list[GroupHandle] = []
     members: list[GroupHandle] = []
@@ -110,9 +109,9 @@ def _subgroup_lattice(group: GroupHandle, member_cap: int) -> SubgroupLattice:
         for h in orbit:
             representative_of[h.elements()] = orbit[0]
             members.append(h)
-        if len(members) > member_cap:
+        if len(members) > LATTICE_MEMBER_CAP:
             raise ResourceLimitError(
-                f"lattice member cap {member_cap} exceeded",
+                f"lattice member cap {LATTICE_MEMBER_CAP} exceeded",
                 partial_count=len(members))
         class_reps.append(handle)
 

@@ -77,7 +77,7 @@ def test_exit_code_two_on_malformed_builtin_argument(capsys):
 def test_exit_code_two_on_malformed_group_file(tmp_path, capsys, text):
     (tmp_path / "bad.grp").write_text(text)
     assert main(["run", "--suite", "baer", "--corpus", str(tmp_path)]) == 2
-    assert "error: line " in capsys.readouterr().err
+    assert f"error: {tmp_path / 'bad.grp'}: line " in capsys.readouterr().err
 
 
 def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):

@@ -325,3 +325,49 @@ def test_fault_injection_shows_automorphism_violation_payload(monkeypatch):
             "    group a5\n"
             "    kv automorphism t12\n"
             "    kv failing_k 1\n") in render_report(report)
+
+
+def test_fault_injection_shows_cor19_violation_payload(monkeypatch):
+    """An inverted set cut to 2 of a5's 7 elements puts the bound
+    (2!)^4 = 16 below |A5 : F| = 60."""
+    import dataclasses
+
+    import engelfit.suites as suites_mod
+    from engelfit.suites import Caps, run_suites
+
+    real_j_set = suites_mod.j_set
+
+    def short_j_set(group, alpha):
+        report = real_j_set(group, alpha)
+        assert len(report.j_elements) == 7
+        return dataclasses.replace(report, j_elements=frozenset(sorted(report.j_elements)[:2]))
+
+    monkeypatch.setattr(suites_mod, "j_set", short_j_set)
+    report = run_suites(["cor19"], [builtin("alternating(5)", "a5")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (1, 0)
+    assert ("  violation\n"
+            "    group a5\n"
+            "    kv automorphism t12\n"
+            "    kv fitting_index 60\n"
+            "    kv j_size 2\n") in render_report(report)
+    assert report.exit_code == 1
+
+
+def test_fault_injection_shows_lem31_violation_payload(monkeypatch):
+    """A center claimed trivial on SL(2,5) leaves the order-2 intersection
+    unexplained."""
+    import engelfit.engel as engel_mod
+    from engelfit.group import GroupHandle
+    from engelfit.suites import Caps, run_suites
+
+    monkeypatch.setattr(engel_mod, "center", lambda group: GroupHandle.trivial(group.degree))
+    report = run_suites(["lem31"], [builtin("sl2(5)", "sl2_5")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (1, 0)
+    assert ("  violation\n"
+            "    group sl2_5\n"
+            "    kv automorphism sconj\n"
+            "    kv intersection_order 2\n"
+            "    kv expected_order 1\n") in render_report(report)
+    assert report.exit_code == 1

@@ -1,8 +1,10 @@
 """Engel chains, automorphisms, inverted sets, and the Baer criterion."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from engelfit.corpus import builtin
+from engelfit import engel as engel_module
+from engelfit.corpus import builtin, small_std
 from engelfit.engel import (baer_membership, centralizer_intersection_check,
                             commutator_descent, engel_chain, fixed_subgroup,
                             holomorph_extension, inner, j_set,
@@ -22,6 +24,33 @@ def test_inversion_on_c5_is_order_two():
     alpha = make_automorphism(c5, [c5.generators[0].inverse()])
     assert alpha.order == 2
     assert alpha.is_involution()
+
+
+def brute_force_order(group, apply):
+    """The least m >= 1 for which applying `apply` m times fixes every
+    element of the group."""
+    elements = group.sorted_elements()
+    images, m = [apply(x) for x in elements], 1
+    while images != list(elements):
+        images, m = [apply(y) for y in images], m + 1
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=3)),
+    st.data())
+def test_inner_order_is_the_least_power_fixing_every_element(gens, data):
+    group = generated_by(gens)
+    t = data.draw(st.sampled_from(group.sorted_elements()))
+    assert inner(group, t).order == brute_force_order(group, lambda x: x.conjugate(t))
+
+
+def test_small_std_automorphism_orders():
+    autos = [(e, name, alpha) for e in small_std() for name, alpha in e.automorphisms]
+    assert len(autos) == 28
+    for e, name, alpha in autos:
+        assert alpha.order == 2 == brute_force_order(e.group, alpha.apply), (e.name, name)
 
 
 def test_inner_transposition_on_a5_fixed_subgroup():
@@ -287,8 +316,9 @@ def test_holomorph_extension_inner_actor_closure():
     assert holomorph_extension(a4, alpha).order == 36
 
 
-def test_holomorph_extension_cap():
+def test_holomorph_extension_cap(monkeypatch):
     a7 = builtin("alternating(7)").group
     alpha = inner(a7, parse_cycles("(1 2)", 7))
+    monkeypatch.setattr(engel_module, "EXTENSION_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        holomorph_extension(a7, alpha, cap=100)
+        holomorph_extension(a7, alpha)

@@ -38,9 +38,10 @@ def test_a5_order():
     assert g.order == 60
 
 
-def test_cap_exceeded_carries_partial_count():
+def test_cap_exceeded_carries_partial_count(monkeypatch):
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 1)
     with pytest.raises(ResourceLimitError) as err:
-        close_group([parse_cycles("(1 2)", 2)], cap=1)
+        close_group([parse_cycles("(1 2)", 2)])
     assert err.value.partial_count == 1
 
 
@@ -228,9 +229,12 @@ def test_generated_by_cap_below_order_raises(perms, data):
     order = generated_by(perms).order
     assume(order > 1)
     cap = data.draw(st.integers(1, order - 1))
-    with pytest.raises(ResourceLimitError):
-        generated_by(perms, cap=cap)
-    assert generated_by(perms, cap=order).order == order
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(group_module, "ELEMENT_CAP", cap)
+        with pytest.raises(ResourceLimitError):
+            generated_by(perms)
+        mp.setattr(group_module, "ELEMENT_CAP", order)
+        assert generated_by(perms).order == order
 
 
 @st.composite
@@ -270,12 +274,14 @@ def test_generated_by_returns_the_base_when_nothing_is_new():
     assert grown.order == 8 and grown.generators == (*c4.generators, parse_cycles("(2 4)", 4))
 
 
-def test_generated_by_from_a_base_fails_at_the_cap():
+def test_generated_by_from_a_base_fails_at_the_cap(monkeypatch):
     c4 = generated_by([parse_cycles("(1 2 3 4)", 4)])
     transposition = [parse_cycles("(1 2)", 4)]
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 23)
     with pytest.raises(ResourceLimitError):
-        generated_by(transposition, cap=23, base=c4)
-    assert generated_by(transposition, cap=24, base=c4).order == 24
+        generated_by(transposition, base=c4)
+    monkeypatch.setattr(group_module, "ELEMENT_CAP", 24)
+    assert generated_by(transposition, base=c4).order == 24
 
 
 def test_clear_derived_keeps_only_the_given_permutations_interned():

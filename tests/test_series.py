@@ -4,18 +4,18 @@ import pytest
 
 from engelfit.corpus import builtin, small_std
 from engelfit.errors import PreconditionError
-from engelfit.group import GroupHandle, close_group, generated_by
+from engelfit.group import GroupHandle
 from engelfit.perm import parse_cycles
 from engelfit.series import (_gen_fitting_by_socle, characteristic_profile,
                              fitting_height, fitting_series, fitting_subgroup,
                              gen_fitting_height, gen_fitting_series,
                              generalized_fitting, insoluble_length, layer,
                              odd_core, soluble_radical, upper_insoluble_series)
-from engelfit.subgrp import (center, centralizer, commutator_subgroup,
-                             is_nilpotent, is_normal_in, is_perfect,
-                             is_soluble, join, normal_subgroups, quotient)
+from engelfit.subgrp import (centralizer, commutator_subgroup, is_nilpotent,
+                             is_perfect, is_soluble, join, normal_subgroups,
+                             quotient)
 from tests.oracles import o_p_core
-from tests.test_group import alt, sym
+from tests.test_group import sym
 
 V4_TEXTS = ["()", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"]
 

@@ -3,7 +3,7 @@
 import pytest
 
 from engelfit.errors import ConsistencyError, PreconditionError
-from engelfit.group import GroupHandle, close_group, generated_by
+from engelfit.group import GroupHandle, clear_derived, close_group, generated_by
 from engelfit.perm import Permutation, commutator, parse_cycles
 from engelfit.subgrp import (center, centralizer, commutator_subgroup,
                              derived_series, derived_subgroup, descend,
@@ -243,13 +243,16 @@ def test_normal_lattice_of_s4():
     assert [m.order for m in lattice] == [1, 4, 12, 24]
 
 
-def test_normal_lattice_count_cap():
+def test_normal_lattice_count_cap(monkeypatch):
+    from engelfit import subgrp as subgrp_module
     from engelfit.errors import ResourceLimitError
     # elementary abelian 2-group: every one of its 16 subgroups is normal
     e8 = close_group([parse_cycles("(1 2)", 6), parse_cycles("(3 4)", 6),
                       parse_cycles("(5 6)", 6)])
+    clear_derived()
+    monkeypatch.setattr(subgrp_module, "LATTICE_COUNT_CAP", 5)
     with pytest.raises(ResourceLimitError):
-        normal_subgroups(e8, count_cap=5)
+        normal_subgroups(e8)
 
 
 def test_normal_lattice_against_full_subgroup_scan():

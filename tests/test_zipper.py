@@ -2,9 +2,10 @@
 
 import pytest
 
+from engelfit import zipper as zipper_module
 from engelfit.errors import PreconditionError, ResourceLimitError
-from engelfit.group import close_group, generated_by
-from engelfit.perm import Permutation, parse_cycles
+from engelfit.group import clear_derived, close_group, generated_by
+from engelfit.perm import parse_cycles
 from engelfit.subgrp import is_subnormal, join, normal_closure
 from engelfit.zipper import (all_subgroups, descent_lemma_failures,
                              normal_closure_descent, zipper_case)
@@ -107,9 +108,11 @@ def test_lattice_order_cap():
         all_subgroups(sym(5), max_order=100)
 
 
-def test_lattice_member_cap():
+def test_lattice_member_cap(monkeypatch):
+    clear_derived()
+    monkeypatch.setattr(zipper_module, "LATTICE_MEMBER_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        all_subgroups(sym(4), member_cap=10)
+        all_subgroups(sym(4))
 
 
 def test_descent_transposition_in_s4():
