@@ -9,7 +9,7 @@ from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
 from .group import GroupHandle, close_group, derived, generated_by
 from .perm import Permutation, p_part
-from .subgrp import center, descend
+from .subgrp import center, descend, normal_closure
 
 __all__ = [
     "AutomorphismMap",
@@ -132,6 +132,8 @@ def fixed_subgroup(alpha: AutomorphismMap) -> GroupHandle:
 
 
 def _commutator_fn(group: GroupHandle, actor: Actor) -> Callable[[Permutation], Permutation]:
+    """g ↦ [g, actor]: g⁻¹·α(g) for an automorphism α, and (x⁻¹)^g·x for
+    an inner actor x, with x⁻¹ formed once."""
     if isinstance(actor, AutomorphismMap):
         if not actor.group.same_elements(group):
             raise ValueError("automorphism acts on a different group")
@@ -139,7 +141,8 @@ def _commutator_fn(group: GroupHandle, actor: Actor) -> Callable[[Permutation], 
         return lambda g: g.inverse() * table[g]
     if not group.contains(actor):
         raise ValueError(f"inner actor {actor} is not a member of the group")
-    return lambda g: g.inverse() * g.conjugate(actor)
+    actor_inverse = actor.inverse()
+    return lambda g: actor_inverse.conjugate(g) * actor
 
 
 def _actor_conjugation(actor: Actor) -> Callable[[Permutation], Permutation]:
@@ -189,19 +192,23 @@ def _engel_sets(group: GroupHandle, actor: Actor,
     step; otherwise it ends before the first repeat.  More than ``k_cap``
     steps raise ``ResourceLimitError``.  Callers pass ``k_cap``
     positionally, so the Baer test and the Engel chain share one walk.
+
+    f is tabled once over E_0 = G; every later set lies in G, so each step
+    is a table lookup and each commutator is formed once.
     """
     if k_cap is None:
         k_cap = max(group.order, 4)
     if k_cap < 1:
         raise ValueError("k_cap must be at least 1")
     com = _commutator_fn(group, actor)
-    walk = [frozenset(group.elements())]
+    table = {e: com(e) for e in group.elements()}
+    walk = [group.elements()]
     while len(walk[-1]) > 1:
         if len(walk) > k_cap:
             raise ResourceLimitError(
                 f"no stable commutator set within k_cap={k_cap} iterations",
                 partial_count=k_cap)
-        nxt = frozenset(com(e) for e in walk[-1])
+        nxt = frozenset(map(table.__getitem__, walk[-1]))
         if not nxt <= walk[-1]:
             raise ConsistencyError("commutator set left the previous set")
         if len(nxt) == len(walk[-1]):
@@ -212,27 +219,39 @@ def _engel_sets(group: GroupHandle, actor: Actor,
 
 def engel_chain(group: GroupHandle, actor: Actor,
                 k_cap: Optional[int] = None) -> EngelChain:
-    """The Engel walk of (group, actor) with the subgroups its sets generate."""
+    """The Engel walk of (group, actor) with the subgroups its sets generate.
+
+    The subgroups are grown from the stable set upwards, ⟨E_k⟩ from
+    ⟨E_{k+1}⟩, so a stretch of equal subgroups costs only membership
+    tests.  The walk checks E_{k+1} ⊆ E_k, so the generated chain
+    descends by construction.
+    """
     conj = _actor_conjugation(actor)
     sets = _engel_sets(group, actor, k_cap)
     generated: list[GroupHandle] = []
-    for nxt in sets[1:]:
-        if frozenset(conj(e) for e in nxt) != nxt:
+    for nxt in reversed(sets[1:]):
+        if frozenset(map(conj, nxt)) != nxt:
             raise ConsistencyError("commutator set is not actor-invariant")
-        sub = generated_by(nxt, degree=group.degree)
-        if generated and not sub.is_subset_of(generated[-1]):
-            raise ConsistencyError("generated Engel chain is not descending")
-        generated.append(sub)
+        generated.append(generated_by(nxt, degree=group.degree,
+                                      base=generated[-1] if generated else None))
+    generated.reverse()
     stable_k = generated[-1] if generated else group
     return EngelChain(sets, tuple(generated), stable_k)
 
 
 @derived
 def commutator_descent(group: GroupHandle, actor: Actor) -> tuple[GroupHandle, ...]:
-    """G ≥ [G,actor] ≥ [[G,actor],actor] ≥ … down to its stable term."""
+    """G ≥ [G,actor] ≥ [[G,actor],actor] ≥ … down to its stable term.
+
+    Each term T is actor-invariant, and [T,a] = ⟨[t,a] : t ∈ T⟩ is the
+    normal closure in T of the [s,a] for the generators s of T.  Since
+    [st,a] = [s,a]^t·[t,a] and every t is a product of generators, each
+    [t,a] is a product of T-conjugates of those [s,a]; and
+    [t,a]^u = [tu,a]·[u,a]⁻¹ makes ⟨[t,a] : t ∈ T⟩ normal in T.
+    """
     com = _commutator_fn(group, actor)
-    return descend(group, lambda term: generated_by(
-        {com(e) for e in term.elements()}, degree=group.degree))
+    return descend(group, lambda term: normal_closure(
+        generated_by([com(s) for s in term.generators], degree=group.degree), term))
 
 
 def baer_membership(group: GroupHandle, x: Permutation,

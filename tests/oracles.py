@@ -68,6 +68,19 @@ def commutator_with_actor(group: GroupHandle, g: Permutation, actor: Actor) -> P
     return g.inverse() * actor.inverse() * g * actor
 
 
+def commutator_descent_by_elements(group: GroupHandle,
+                                   actor: Actor) -> tuple[GroupHandle, ...]:
+    """G ≥ [G,a] ≥ [[G,a],a] ≥ …, each term T ↦ ⟨[t,a] : t ∈ T⟩ generated
+    by the commutators of all its elements, down to the first repeat."""
+    terms = [group]
+    while True:
+        nxt = generated_by([commutator_with_actor(group, t, actor)
+                            for t in terms[-1].elements()], degree=group.degree)
+        if nxt.same_elements(terms[-1]):
+            return tuple(terms)
+        terms.append(nxt)
+
+
 def unique_max_element_check(group: GroupHandle, sub: GroupHandle,
                              lattice: SubgroupLattice) -> bool:
     """Whether {F(A, H) : H maximal over A} has a unique maximal element."""

@@ -371,3 +371,84 @@ def test_fault_injection_shows_lem31_violation_payload(monkeypatch):
             "    kv intersection_order 2\n"
             "    kv expected_order 1\n") in render_report(report)
     assert report.exit_code == 1
+
+
+def _first_violation_block(text):
+    """The first rendered violation with its group and detail lines."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index("  violation\n")
+    end = start + 1
+    while end < len(lines) and lines[end].startswith("    "):
+        end += 1
+    return "".join(lines[start:end])
+
+
+def test_fault_injection_shows_thm11_violation_payload(monkeypatch):
+    """F(G) claimed trivial on S4 puts the Klein four-group's involutions,
+    of minimal Engel height 0, outside the height-0 term."""
+    import engelfit.suites as suites_mod
+    from engelfit.group import GroupHandle
+    from engelfit.suites import Caps, run_suites
+
+    real_pull_back = suites_mod.pull_back
+
+    def trivial_at_the_bottom(group, kernel, fn):
+        if kernel.is_trivial():
+            return GroupHandle.trivial(group.degree)
+        return real_pull_back(group, kernel, fn)
+
+    monkeypatch.setattr(suites_mod, "pull_back", trivial_at_the_bottom)
+    report = run_suites(["thm11"], [builtin("symmetric(4)", "s4")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (96, 93)
+    assert _first_violation_block(render_report(report)) == (
+        "  violation\n"
+        "    group s4\n"
+        "    kv x (1 2)(3 4)\n"
+        "    kv h 0\n"
+        "    kv above_term False\n"
+        "    kv min_height 0\n")
+    assert report.exit_code == 1
+
+
+def test_fault_injection_shows_thm12_violation_payload(monkeypatch):
+    """Every upper insoluble term of A5 claimed to be R_0 = 1 leaves the
+    elements of insoluble length 1 outside R_1."""
+    import engelfit.suites as suites_mod
+    from engelfit.suites import Caps, run_suites
+
+    real_series = suites_mod.upper_insoluble_series
+
+    def flat_series(group, lam):
+        return (real_series(group, lam)[0],) * (lam + 1)
+
+    monkeypatch.setattr(suites_mod, "upper_insoluble_series", flat_series)
+    report = run_suites(["thm12"], [builtin("alternating(5)", "a5")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (120, 61)
+    assert _first_violation_block(render_report(report)) == (
+        "  violation\n"
+        "    group a5\n"
+        "    kv x (3 4 5)\n"
+        "    kv h 1\n"
+        "    kv in_upper_term False\n"
+        "    kv min_length 1\n")
+    assert report.exit_code == 1
+
+
+def test_fault_injection_shows_cor15_violation_payload(monkeypatch):
+    """A descent stopped at G disagrees for every element of S3 with the
+    generated Engel chain's stable term, which is A3 or 1."""
+    import engelfit.suites as suites_mod
+    from engelfit.suites import Caps, run_suites
+
+    monkeypatch.setattr(suites_mod, "commutator_descent", lambda group, actor: (group,))
+    report = run_suites(["cor15"], [builtin("symmetric(3)", "s3")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (6, 0)
+    assert _first_violation_block(render_report(report)) == (
+        "  violation\n"
+        "    group s3\n"
+        "    kv x ()\n"
+        "    kv problems descent and generated stable terms differ\n")
+    assert report.exit_code == 1

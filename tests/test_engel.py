@@ -11,11 +11,11 @@ from engelfit.engel import (baer_membership, centralizer_intersection_check,
                             make_automorphism)
 from engelfit.errors import (AutomorphismError, ConsistencyError,
                              PreconditionError, ResourceLimitError)
-from engelfit.group import close_group, generated_by
+from engelfit.group import clear_derived, close_group, generated_by
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.series import fitting_subgroup
 from engelfit.subgrp import is_nilpotent
-from tests.oracles import commutator_with_actor
+from tests.oracles import commutator_descent_by_elements, commutator_with_actor
 from tests.test_group import alt, sym
 
 
@@ -171,6 +171,7 @@ def test_commutator_set_leaving_its_predecessor_is_an_engine_bug(monkeypatch):
     # conjugating by a point outside {1,2,3} does not normalize A3, so
     # the "commutators" leave the group and the descent check must fire
     import engelfit.engel as engel_mod
+    clear_derived()  # no walk or descent of a3 cached by an earlier test
     a3 = close_group([parse_cycles("(1 2 3)", 4)])
     outside = parse_cycles("(1 4)", 4)
     monkeypatch.setattr(engel_mod, "_commutator_fn",
@@ -180,6 +181,29 @@ def test_commutator_set_leaving_its_predecessor_is_an_engine_bug(monkeypatch):
         engel_chain(a3, x)
     with pytest.raises(ConsistencyError, match="left the previous set"):
         baer_membership(a3, x)
+    # the descent forms its commutators through the same function
+    with pytest.raises(ConsistencyError):
+        commutator_descent(a3, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=3)),
+    st.data())
+def test_descent_and_generated_chain_match_the_all_elements_routes(gens, data):
+    # the descent from generator commutators and the chain grown from the
+    # set below, against the all-elements descent and from-scratch closures
+    clear_derived()
+    group = generated_by(gens)
+    t = data.draw(st.sampled_from(group.sorted_elements()))
+    actor = inner(group, t) if data.draw(st.booleans()) else t
+    descent = commutator_descent(group, actor)
+    oracle = commutator_descent_by_elements(group, actor)
+    assert [h.elements() for h in descent] == [h.elements() for h in oracle]
+    chain = engel_chain(group, actor)
+    assert len(chain.generated) == len(chain.sets) - 1
+    for k, h in enumerate(chain.generated):
+        assert h.elements() == generated_by(chain.sets[k + 1], degree=group.degree).elements()
 
 
 def test_engel_chain_generated_descending_and_subnormal():
