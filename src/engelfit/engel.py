@@ -34,14 +34,14 @@ Actor = Union[Permutation, "AutomorphismMap"]
 
 
 class AutomorphismMap:
-    """An automorphism given by generator images, stored as a full element table."""
+    """An automorphism stored as its full element table, as `make_automorphism`
+    extends it from generator images."""
 
-    __slots__ = ("group", "gen_images", "mapping", "order")
+    __slots__ = ("group", "mapping", "order")
 
-    def __init__(self, group: GroupHandle, gen_images: tuple[Permutation, ...],
-                 mapping: dict[Permutation, Permutation], order: int):
+    def __init__(self, group: GroupHandle, mapping: dict[Permutation, Permutation],
+                 order: int):
         self.group = group
-        self.gen_images = gen_images
         self.mapping = mapping
         self.order = order
 
@@ -117,7 +117,7 @@ def make_automorphism(group: GroupHandle, images) -> AutomorphismMap:
     while power != group.generators:
         power = tuple(mapping[x] for x in power)
         order += 1
-    return AutomorphismMap(group, images, mapping, order)
+    return AutomorphismMap(group, mapping, order)
 
 
 def inner(group: GroupHandle, t: Permutation) -> AutomorphismMap:

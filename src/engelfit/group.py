@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .errors import ResourceLimitError
-from .perm import Permutation, clear_interned
+from .perm import Permutation, clear_interned, right_multiply
 
 __all__ = [
     "ELEMENT_CAP",
@@ -256,5 +256,5 @@ def _extend_by_cosets(elements: set[Permutation], gens: list[Permutation]) -> No
             raise ResourceLimitError(
                 f"element cap {ELEMENT_CAP} exceeded during closure",
                 partial_count=len(elements))
-        elements.update(h * r for h in sub)
+        elements.update(right_multiply(sub, r))
         reps.extend(r * s for s in gens)

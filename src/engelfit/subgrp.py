@@ -200,7 +200,7 @@ class QuotientMap:
         """A source element mapping onto the image element q."""
         if not self.image.contains(q):
             raise ValueError(f"{q} is not a member of the image group")
-        return self.coset_reps[q.images[0]]
+        return self.coset_reps[q.act(1) - 1]
 
     def preimage_of(self, sub: GroupHandle) -> GroupHandle:
         """⟨kernel ∪ lifts of sub's generators⟩, the full preimage of sub."""

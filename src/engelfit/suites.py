@@ -353,18 +353,7 @@ def _suite_lem31(entry: CorpusEntry, caps: Caps, out: _Outcome) -> None:
 
 
 def _is_even(p: Permutation) -> bool:
-    moved = len(p.moved_points())
-    cycles = 0
-    seen: set[int] = set()
-    for i in p.moved_points():
-        if i in seen:
-            continue
-        cycles += 1
-        j = p.images[i]
-        while j != i:
-            seen.add(j)
-            j = p.images[j]
-    return (moved - cycles) % 2 == 0
+    return sum(len(cycle) - 1 for cycle in p.cycles()) % 2 == 0
 
 
 _KNOWN_VALUES = {

@@ -7,7 +7,7 @@ from typing import Iterable
 
 from .errors import PreconditionError, ResourceLimitError
 from .group import GroupHandle, derived, generated_by
-from .perm import Permutation
+from .perm import Permutation, conjugate_all, right_multiply
 from .subgrp import (is_normal_in, is_subnormal, join, maximal_members,
                      normal_closure, normal_closure_descent)
 
@@ -47,8 +47,8 @@ def _conjugate_orbit(group: GroupHandle, handle: GroupHandle) -> list[GroupHandl
     while queue:
         current = queue.pop()
         for g in group.generators:
-            image = GroupHandle(tuple(s.conjugate(g) for s in current.generators),
-                                elements=(e.conjugate(g) for e in current.elements()))
+            image = GroupHandle(conjugate_all(current.generators, g),
+                                elements=conjugate_all(current.elements(), g))
             if image.elements() not in seen:
                 seen[image.elements()] = image
                 queue.append(image)
@@ -68,8 +68,9 @@ def _double_coset_reps(group: GroupHandle, sub: GroupHandle) -> list[Permutation
         if e in assigned:
             continue
         reps.append(e)
-        left = [a * e for a in sub_elems]
-        assigned.update(x * b for x in left for b in sub_elems)
+        left = right_multiply(sub_elems, e)
+        for b in sub_elems:
+            assigned.update(right_multiply(left, b))
     return reps
 
 

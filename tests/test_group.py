@@ -103,6 +103,48 @@ def test_fingerprint_identifies_element_sets():
     assert g1.fingerprint != alt(3).fingerprint
 
 
+def test_fingerprint_of_s4_is_pinned():
+    # hashes the image tuples of the sorted elements as uint32s, whatever
+    # form the kernel stores them in
+    assert sym(4).fingerprint == (
+        "d07c6658055e6139568d6e2f7f24e3cfc5808343fa974f6e9f867de23d1469b3")
+
+
+_LOAD_AND_CHECK = """
+import pickle, sys
+from engelfit.perm import Permutation
+for handle, images in pickle.loads(sys.stdin.buffer.read()):
+    fresh = [Permutation(i) for i in images]
+    assert all(p in handle.elements() for p in fresh)
+    assert handle.elements() == set(fresh)
+print("ok")
+"""
+
+
+def test_a_pickled_group_keeps_its_members_under_another_hash_seed():
+    import os
+    import pickle
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import engelfit
+
+    # one group on each side of the bytes degree cap
+    groups = [sym(4), close_group([parse_cycles("(1 2)", 257), parse_cycles("(1 2 3)", 257)])]
+    payload = pickle.dumps([(g, [e.images for e in g.elements()]) for g in groups])
+    src = str(Path(engelfit.__file__).resolve().parent.parent)
+    # bytes hash differently under seeds 0 and 4242, so at least one of
+    # them differs from this process's seed
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _LOAD_AND_CHECK], input=payload,
+                              env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.strip() == b"ok"
+
+
 def test_generated_by_reduces_generators():
     s4 = sym(4)
     regen = generated_by(s4.sorted_elements())
@@ -291,12 +333,14 @@ def test_clear_derived_keeps_only_the_given_permutations_interned():
     outside = generated_by([parse_cycles("(1 2 3 4 5)", 5)])
     keep = s4.elements()
     group_module.clear_derived(keep=keep)
-    assert perm_module._INTERNED == {p.images: p for p in keep}
-    assert all(perm_module._INTERNED[p.images] is p for p in keep)
+    # read through the values: the table's key type is the kernel's own
+    interned = list(perm_module._INTERNED.values())
+    assert len(interned) == len(keep)
+    assert {id(p) for p in interned} == {id(p) for p in keep}
     kept = {p: p for p in keep}
     for a in s4.sorted_elements()[:6]:
         for b in s4.sorted_elements():
             assert a * b is kept[a * b]
         assert a.inverse() is kept[a.inverse()]
     assert Permutation.identity(4) is kept[Permutation.identity(4)]
-    assert not any(p.images in perm_module._INTERNED for p in outside.elements())
+    assert not any(p in set(interned) for p in outside.elements())

@@ -1,11 +1,14 @@
 """Permutation arithmetic: parsing, composition conventions, orders."""
 
+import pickle
+from math import lcm
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from engelfit.errors import ParseError
-from engelfit.perm import (Permutation, commutator, format_cycles, p_part,
-                           parse_cycles)
+from engelfit.perm import (Permutation, commutator, conjugate_all, format_cycles,
+                           p_part, parse_cycles, right_multiply)
 
 
 def test_parse_basic_cycles():
@@ -164,8 +167,6 @@ def _interned(images):
 
 @pytest.mark.parametrize("route", ["validated", "pickled", "before-clear"])
 def test_a_permutation_outside_the_intern_table_equals_the_interned_one(route):
-    import pickle
-
     from engelfit.group import clear_derived
 
     images = (1, 2, 0, 4, 3)
@@ -185,3 +186,109 @@ def test_a_permutation_outside_the_intern_table_equals_the_interned_one(route):
     e = Permutation.identity(5)
     assert frozenset([other, e]) == frozenset([interned, e])
     assert other * e == interned and other.act(1) == interned.act(1) == 2
+
+
+# The kernel against a plain-tuple reference, on both sides of the degree
+# (256) up to which images are held as bytes.
+
+def _ref_mul(a, b):
+    return tuple(b[i] for i in a)
+
+
+def _ref_inverse(a):
+    inv = [0] * len(a)
+    for i, j in enumerate(a):
+        inv[j] = i
+    return tuple(inv)
+
+
+def _ref_conjugate(g, h):
+    return _ref_mul(_ref_mul(_ref_inverse(h), g), h)
+
+
+def _ref_pow(a, k):
+    result = tuple(range(len(a)))
+    for _ in range(abs(k)):
+        result = _ref_mul(result, a)
+    return result if k >= 0 else _ref_inverse(result)
+
+
+def _ref_order(a):
+    """lcm of the orbit lengths, each found by chasing one point."""
+    result = 1
+    for i in range(len(a)):
+        length, j = 1, a[i]
+        while j != i:
+            length, j = length + 1, a[j]
+        result = lcm(result, length)
+    return result
+
+
+EDGE_DEGREES = (1, 2, 255, 256, 257)
+degrees = st.one_of(st.sampled_from(EDGE_DEGREES), st.integers(1, 300))
+
+
+def _same_degree(k):
+    return degrees.flatmap(
+        lambda n: st.tuples(*[st.permutations(range(n)).map(tuple)] * k))
+
+
+def _rotation(n):
+    return tuple(range(1, n)) + (0,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_same_degree(3), st.integers(-4, 4))
+@example((_rotation(256), tuple(range(256)), _rotation(256)[::-1]), -3)
+@example((_rotation(257), tuple(range(257)), _rotation(257)[::-1]), -3)
+def test_kernel_matches_the_tuple_reference(images, k):
+    a, b, c = images
+    p, q, r = map(Permutation, images)
+    assert p.images == a and p.degree == len(a)
+    assert (p * q).images == _ref_mul(a, b)
+    assert p.inverse().images == _ref_inverse(a)
+    assert p.conjugate(q).images == _ref_conjugate(a, b)
+    assert (p ** k).images == _ref_pow(a, k)
+    assert p.order() == _ref_order(a)
+    assert (p < q) == (a < b) and (p <= q) == (a <= b)
+    assert (p == q) == (a == b)
+    assert p.is_identity() == (a == tuple(range(len(a))))
+    # a computed (interned) permutation against a constructed one
+    computed = (p * q) * q.inverse()
+    assert computed is not p
+    assert computed == p and p == computed and hash(computed) == hash(p)
+    assert {computed: 1}[p] == 1
+    copy = pickle.loads(pickle.dumps(computed))
+    assert copy is not computed and copy == p and hash(copy) == hash(p)
+    assert right_multiply([p, q, r], q) == [p * q, q * q, r * q]
+    assert conjugate_all([p, q, r], r) == [x.conjugate(r) for x in (p, q, r)]
+    assert [x.images for x in conjugate_all([p, q], r)] == [
+        _ref_conjugate(a, c), _ref_conjugate(b, c)]
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_sorting_across_the_bytes_cap_matches_the_image_tuples(n):
+    small = Permutation(range(n))
+    large = Permutation(range(n + 1))
+    shifted = Permutation((1, 0, *range(2, n + 1)))
+    for x in (small, small.inverse()):
+        for y in (large, shifted, large * shifted):
+            assert (x < y) == (x.images < y.images) and (x <= y) == (x.images <= y.images)
+            assert (y < x) == (y.images < x.images) and (y <= x) == (y.images <= x.images)
+            assert x != y
+    assert sorted([shifted, small, large]) == [small, large, shifted]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (255, 256), (256, 257), (257, 300)])
+def test_degree_mismatch_messages_on_both_kernels(m, n):
+    p, q = Permutation.identity(m), Permutation.identity(n)
+    for x, y in ((p, q), (q, p)):
+        message = f"degree mismatch: {x.degree} vs {y.degree}"
+        with pytest.raises(ValueError, match=message):
+            x * y
+        with pytest.raises(ValueError, match=message):
+            x.conjugate(y)
+        with pytest.raises(ValueError, match=message):
+            right_multiply([x], y)
+        with pytest.raises(ValueError, match=message):
+            conjugate_all([x], y)
