@@ -9,8 +9,8 @@ from pathlib import Path
 from typing import Optional
 
 from .engel import AutomorphismMap, holomorph_extension, inner, make_automorphism
-from .errors import ParseError, ResourceLimitError
-from .group import ELEMENT_CAP, GroupHandle, close_group
+from .errors import ParseError
+from .group import MAX_DEGREE, GroupHandle, _check_size, close_group
 from .perm import Permutation, format_cycles, parse_cycles
 
 __all__ = [
@@ -23,10 +23,6 @@ __all__ = [
     "get_corpus",
     "MAX_DEGREE",
 ]
-
-# Largest permutation degree a .grp file or builtin family may declare;
-# checked before any permutation of that degree is allocated.
-MAX_DEGREE = 1024
 
 
 @dataclass(frozen=True)
@@ -52,15 +48,6 @@ def _cycle(points: list[int], degree: int) -> Permutation:
     for i, p in enumerate(points):
         images[p - 1] = points[(i + 1) % len(points)] - 1
     return Permutation(images)
-
-
-def _check_size(family: str, degree: int, order: int) -> None:
-    """Reject a family member whose degree or closed-form order is over a cap,
-    before its closure is built."""
-    if degree > MAX_DEGREE or order > ELEMENT_CAP:
-        raise ResourceLimitError(
-            f"{family} has degree {degree} and order {order}; the caps are "
-            f"degree {MAX_DEGREE} and order {ELEMENT_CAP}", partial_count=0)
 
 
 def _cyclic(n: int):

@@ -14,6 +14,7 @@ from .perm import Permutation, clear_interned, right_multiply
 
 __all__ = [
     "ELEMENT_CAP",
+    "MAX_DEGREE",
     "GroupHandle",
     "ConjugacyClassTable",
     "clear_derived",
@@ -23,6 +24,9 @@ __all__ = [
 ]
 
 ELEMENT_CAP = 200_000
+# Largest permutation degree a .grp file or built group may declare;
+# checked before any permutation of that degree is allocated.
+MAX_DEGREE = 1024
 
 # Values of @derived functions, keyed by (function, element set of each
 # GroupHandle argument, the other arguments).  The suite runner clears it,
@@ -174,8 +178,17 @@ def _common_degree(generators: tuple[Permutation, ...]) -> int:
     return degree
 
 
-def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> set[Permutation]:
-    identity = Permutation.identity(degree)
+def _check_size(family: str, degree: int, order: int) -> None:
+    """Reject a group whose degree or closed-form order is over a cap,
+    before its closure is built."""
+    if degree > MAX_DEGREE or order > ELEMENT_CAP:
+        raise ResourceLimitError(
+            f"{family} has degree {degree} and order {order}; the caps are "
+            f"degree {MAX_DEGREE} and order {ELEMENT_CAP}", partial_count=0)
+
+
+def _bfs_closure(generators: tuple[Permutation, ...]) -> set[Permutation]:
+    identity = Permutation.identity(generators[0].degree)
     elements = {identity}
     frontier = [identity]
     while frontier:
@@ -184,9 +197,9 @@ def _bfs_closure(generators: Iterable[Permutation], degree: int, cap: int) -> se
             for g in generators:
                 f = e * g
                 if f not in elements:
-                    if len(elements) >= cap:
+                    if len(elements) >= ELEMENT_CAP:
                         raise ResourceLimitError(
-                            f"element cap {cap} exceeded during closure",
+                            f"element cap {ELEMENT_CAP} exceeded during closure",
                             partial_count=len(elements))
                     elements.add(f)
                     new.append(f)
@@ -198,7 +211,8 @@ def close_group(generators: Iterable[Permutation]) -> GroupHandle:
     """Materialize the group generated by `generators` (fails loudly at
     ``ELEMENT_CAP``)."""
     gens = tuple(generators)
-    return GroupHandle(gens, elements=_bfs_closure(gens, _common_degree(gens), ELEMENT_CAP))
+    _common_degree(gens)  # nonempty, one degree: checked before closing
+    return GroupHandle(gens, elements=_bfs_closure(gens))
 
 
 def generated_by(perms: Iterable[Permutation], degree: Optional[int] = None, *,

@@ -6,7 +6,7 @@ against it.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from engelfit.engel import Actor, AutomorphismMap
 from engelfit.errors import PreconditionError
@@ -23,6 +23,22 @@ def subgroup_of(parent: GroupHandle, generators: Iterable[Permutation]) -> Group
         if not parent.contains(g):
             raise ValueError(f"generator {g} is not a member of the parent group")
     return generated_by(gens, degree=parent.degree)
+
+
+def non_multiplicative_pair(alpha: AutomorphismMap) -> Optional[tuple[Permutation, Permutation]]:
+    """The first pair (a, b) in sorted order with f(ab) ≠ f(a)f(b) for the
+    table f of `alpha`, or None when f is multiplicative on all |G|² pairs.
+
+    `make_automorphism` checks only the (element, generator) edges, which
+    imply this by induction on word length; this is the direct check.
+    """
+    f = alpha.mapping
+    elements = alpha.group.sorted_elements()
+    for a in elements:
+        for b in elements:
+            if f[a * b] != f[a] * f[b]:
+                return a, b
+    return None
 
 
 def normal_core(group: GroupHandle, sub: GroupHandle) -> GroupHandle:

@@ -38,6 +38,13 @@ def test_exit_code_two_on_resource_limit(tmp_path):
     assert (suite.cases, suite.passes, suite.resource_hit) == (0, 0, True)
 
 
+def test_exit_code_two_on_a_builtin_over_the_degree_cap(capsys):
+    # the extension of A7 acts on its 2520 elements, over the degree cap
+    code = main(["run", "--corpus", "builtin:holomorph_ext(alternating(7),t12)"])
+    assert code == 2
+    assert "has degree 2520 and order 5040" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--k-cap", "--jobs", "--max-order",
                                   "--lattice-max-order"])
 def test_nonpositive_count_is_a_usage_error(flag, capsys):

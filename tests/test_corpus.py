@@ -129,7 +129,8 @@ def test_builtin_families_over_the_caps_rejected_before_closure():
     # sizes come from closed forms, so no group of these sizes is built
     for spec in ["cyclic(1000000000)", f"cyclic({MAX_DEGREE + 1})",
                  "dihedral(1000000)", f"dihedral({MAX_DEGREE + 1})",
-                 "direct_product(cyclic(500),cyclic(500))"]:
+                 "direct_product(cyclic(500),cyclic(500))",
+                 "holomorph_ext(alternating(7),t12)"]:
         with pytest.raises(ResourceLimitError) as err:
             builtin(spec)
         assert err.value.partial_count == 0
@@ -451,4 +452,54 @@ def test_fault_injection_shows_cor15_violation_payload(monkeypatch):
         "    group s3\n"
         "    kv x ()\n"
         "    kv problems descent and generated stable terms differ\n")
+    assert report.exit_code == 1
+
+
+def test_fault_injection_shows_thmJ_violation_payload(monkeypatch):
+    """An inverted set of a5 missing one of its 7 elements differs from the
+    commutator set beyond the 2-part exponent."""
+    import dataclasses
+
+    import engelfit.suites as suites_mod
+    from engelfit.suites import Caps, run_suites
+
+    real_j_set = suites_mod.j_set
+
+    def j_set_less_one(group, alpha):
+        report = real_j_set(group, alpha)
+        assert len(report.j_elements) == 7
+        return dataclasses.replace(report, j_elements=frozenset(sorted(report.j_elements)[1:]))
+
+    monkeypatch.setattr(suites_mod, "j_set", j_set_less_one)
+    report = run_suites(["thmJ"], [builtin("alternating(5)", "a5")], Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (1, 0)
+    assert _first_violation_block(render_report(report)) == (
+        "  violation\n"
+        "    group a5\n"
+        "    kv automorphism t12\n"
+        "    kv j_size 6\n"
+        "    kv two_part 2\n"
+        "    kv problems commutator set at step 2 differs from the inverted set\n")
+    assert report.exit_code == 1
+
+
+def test_fault_injection_shows_crosschecks_violation_payload(monkeypatch):
+    """A socle route that returns F(S5) = 1 disagrees with the product
+    route's F*(S5) = A5; only the crosschecks suite runs, so the dual check
+    is counted once."""
+    import engelfit.suites as suites_mod
+    from engelfit.suites import Caps, run_suites
+
+    monkeypatch.setattr(suites_mod, "_gen_fitting_by_socle", suites_mod.fitting_subgroup)
+    report = run_suites(["engine-crosschecks"], [builtin("symmetric(5)", "s5")],
+                        Caps(), "faulty")
+    suite = report.suites[0]
+    assert (suite.cases, suite.passes) == (4, 3)
+    assert _first_violation_block(render_report(report)) == (
+        "  violation\n"
+        "    group s5\n"
+        "    kv check gen-fitting-dual\n"
+        "    kv error generalized Fitting subgroup mismatch: product route has "
+        "order 60, socle route has order 1\n")
     assert report.exit_code == 1

@@ -3,19 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from engelfit import engel as engel_module
 from engelfit.corpus import builtin, small_std
-from engelfit.engel import (baer_membership, centralizer_intersection_check,
+from engelfit.engel import (AutomorphismMap, baer_membership,
+                            centralizer_intersection_check,
                             commutator_descent, engel_chain, fixed_subgroup,
                             holomorph_extension, inner, j_set,
                             make_automorphism)
 from engelfit.errors import (AutomorphismError, ConsistencyError,
                              PreconditionError, ResourceLimitError)
-from engelfit.group import clear_derived, close_group, generated_by
+from engelfit.group import MAX_DEGREE, clear_derived, close_group, generated_by
 from engelfit.perm import Permutation, parse_cycles
 from engelfit.series import fitting_subgroup
 from engelfit.subgrp import is_nilpotent
-from tests.oracles import commutator_descent_by_elements, commutator_with_actor
+from tests.oracles import (commutator_descent_by_elements, commutator_with_actor,
+                           non_multiplicative_pair)
 from tests.test_group import alt, sym
 
 
@@ -73,10 +74,73 @@ def test_non_homomorphism_rejected_with_pair():
     assert err.value.pair is not None
 
 
+def test_non_homomorphism_with_a_bijective_table_rejected_by_an_edge():
+    # the walk's first image of each element is one of 1, a, b, ab, ba, aba
+    # for a = (2 3), b = (1 2 3): six distinct values, so the table is a
+    # bijection and only an edge check (such as (1 2)·(1 2) = 1 against
+    # b² ≠ 1) can reject it
+    s3 = generated_by([parse_cycles("(2 3)", 3), parse_cycles("(1 2)", 3)])
+    assert s3.generators == (parse_cycles("(2 3)", 3), parse_cycles("(1 2)", 3))
+    with pytest.raises(AutomorphismError, match="homomorphism") as err:
+        make_automorphism(s3, [parse_cycles("(2 3)", 3), parse_cycles("(1 2 3)", 3)])
+    assert err.value.pair[1] in s3.generators
+
+
 def test_non_bijective_rejected():
     v4 = generated_by([parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)])
     with pytest.raises(AutomorphismError):
         make_automorphism(v4, [v4.generators[0], v4.generators[0]])
+
+
+def test_every_small_std_automorphism_is_multiplicative_on_all_pairs():
+    checked = 0
+    for entry in small_std():
+        if entry.group.order <= 360:
+            for name, alpha in entry.automorphisms:
+                assert non_multiplicative_pair(alpha) is None, (entry.name, name)
+                checked += 1
+    assert checked == 23
+
+
+def test_the_pair_oracle_finds_a_table_that_is_not_multiplicative():
+    s3 = sym(3)
+    t12, t13 = parse_cycles("(1 2)", 3), parse_cycles("(1 3)", 3)
+    mapping = {g: g for g in s3.elements()}
+    mapping[t12], mapping[t13] = t13, t12  # a bijection, not a homomorphism
+    assert non_multiplicative_pair(AutomorphismMap(s3, mapping, 2)) is not None
+
+
+def _graph_of_images(group, images):
+    """⟨(s, f(s))⟩ on 2n points, s on 1..n and f(s) on n+1..2n: the graph of
+    f when the generator images define a homomorphism.  Returns the closure
+    as (first, second) projection pairs."""
+    n = group.degree
+    graph = close_group([Permutation(s.images + tuple(n + i for i in fs.images))
+                         for s, fs in zip(group.generators, images)])
+    return [(Permutation(p.images[:n]), Permutation(i - n for i in p.images[n:]))
+            for p in graph.elements()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.permutations(range(n)).map(Permutation), min_size=1, max_size=3)),
+    st.data())
+def test_make_automorphism_accepts_exactly_the_graphs_of_automorphisms(gens, data):
+    # the images define an automorphism iff the closed graph has one pair
+    # per element of G and its second projection is all of G
+    group = generated_by(gens)
+    members = st.sampled_from(group.sorted_elements())
+    images = [data.draw(members) for _ in group.generators]
+    graph = _graph_of_images(group, images)
+    is_automorphism = (len(graph) == group.order
+                       and {y for _, y in graph} == group.elements())
+    try:
+        alpha = make_automorphism(group, images)
+    except AutomorphismError:
+        assert not is_automorphism
+        return
+    assert is_automorphism
+    assert alpha.mapping == dict(graph)
 
 
 def test_inner_requires_normalizing_element():
@@ -340,9 +404,12 @@ def test_holomorph_extension_inner_actor_closure():
     assert holomorph_extension(a4, alpha).order == 36
 
 
-def test_holomorph_extension_cap(monkeypatch):
+def test_holomorph_extension_cap():
+    # the degree |A7| = 2520 is over MAX_DEGREE, so the extension is
+    # rejected by its size before any translation is built
     a7 = builtin("alternating(7)").group
     alpha = inner(a7, parse_cycles("(1 2)", 7))
-    monkeypatch.setattr(engel_module, "EXTENSION_CAP", 100)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"degree 2520 and order 5040; "
+                                                 f"the caps are degree {MAX_DEGREE} ") as err:
         holomorph_extension(a7, alpha)
+    assert err.value.partial_count == 0

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from engelfit import group as group_module
 from engelfit.errors import ResourceLimitError
-from engelfit.group import ELEMENT_CAP, GroupHandle, _bfs_closure, close_group, generated_by
+from engelfit.group import GroupHandle, _bfs_closure, close_group, generated_by
 from engelfit.perm import Permutation, commutator, parse_cycles
 from tests.schreier_sims import StabilizerChain
 
@@ -249,7 +249,7 @@ def _greedy_by_full_closure(perms):
     for x in items:
         if x not in current:
             gens.append(x)
-            current = _bfs_closure(gens, degree, ELEMENT_CAP)
+            current = _bfs_closure(tuple(gens))
     return tuple(gens) or (Permutation.identity(degree),), frozenset(current)
 
 
@@ -261,7 +261,7 @@ def test_generated_by_agrees_with_closure_greedy_rule_and_chain(perms):
     expected_gens, expected_elements = _greedy_by_full_closure(perms)
     assert g.generators == expected_gens
     assert g.elements() == expected_elements
-    assert g.elements() == frozenset(_bfs_closure(g.generators, degree, ELEMENT_CAP))
+    assert g.elements() == frozenset(_bfs_closure(g.generators))
     assert g.order == StabilizerChain(perms, degree).order
 
 
@@ -301,8 +301,7 @@ def test_generated_by_grows_from_a_base_subgroup(case):
         assert grown.same_elements(generated_by(perms, degree=base.degree))
     else:
         assert grown.generators[:len(base.generators)] == base.generators
-    assert grown.elements() == frozenset(
-        _bfs_closure(grown.generators, base.degree, ELEMENT_CAP))
+    assert grown.elements() == frozenset(_bfs_closure(grown.generators))
 
 
 def test_generated_by_returns_the_base_when_nothing_is_new():

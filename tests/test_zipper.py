@@ -92,6 +92,12 @@ def test_lattice_classes_are_the_conjugacy_classes_of_subgroups(group, members, 
         assert members_of_class == conjugates
 
 
+def test_s6_lattice_has_the_published_counts():
+    # 1,455 subgroups in 56 conjugacy classes (OEIS A005432, A000638)
+    lattice = all_subgroups(sym(6), max_order=720)
+    assert (len(lattice), len(_classes(lattice))) == (1455, 56)
+
+
 def test_each_class_representative_is_its_first_member_in_lattice_order():
     lattice = all_subgroups(sym(4))
     met = set()
