@@ -15,8 +15,7 @@ from .subgrp import (QuotientMap, center, centralizer, commutator_subgroup,
                      is_quasisimple, is_simple, is_soluble, is_subnormal, join,
                      lower_central_series, minimal_normals, normal_closure,
                      normal_closure_descent, normal_subgroups, quotient, socle)
-from .series import (CharacteristicProfile, characteristic_profile,
-                     fitting_height, fitting_series, fitting_subgroup,
+from .series import (fitting_height, fitting_series, fitting_subgroup,
                      gen_fitting_height, gen_fitting_series,
                      generalized_fitting, insoluble_length, layer, odd_core,
                      soluble_radical, upper_insoluble_series)

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import Optional
 
 from .engel import AutomorphismMap, holomorph_extension, inner, make_automorphism
-from .errors import ParseError
+from .errors import AutomorphismError, ParseError
 from .group import MAX_DEGREE, GroupHandle, _check_size, close_group
 from .perm import Permutation, format_cycles, parse_cycles
 
@@ -322,7 +322,7 @@ def _parse_group_text(text: str) -> CorpusEntry:
                 f"map lines for {len(gens)} generators")
         try:
             built_autos.append((auto_name, make_automorphism(group, images)))
-        except Exception as exc:
+        except AutomorphismError as exc:
             raise ParseError(
                 f"automorphism {auto_name!r} of group {name!r} is invalid: {exc}") from exc
     return CorpusEntry(name, group, tuple(built_autos))

@@ -65,11 +65,12 @@ def clear_derived(keep: Iterable[Permutation] = ()) -> None:
 
 @dataclass(frozen=True)
 class ConjugacyClassTable:
-    """Class representatives (lexicographically least members) and sizes,
-    and the representative of every element's class."""
+    """Class representatives (lexicographically least members), the
+    classes as element sets in the same order, and the representative of
+    every element's class."""
 
     representatives: tuple[Permutation, ...]
-    class_sizes: tuple[int, ...]
+    classes: tuple[frozenset[Permutation], ...]
     representative_of: dict[Permutation, Permutation] = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -146,7 +147,7 @@ class GroupHandle:
     def conjugacy_classes(self) -> ConjugacyClassTable:
         rep_of: dict[Permutation, Permutation] = {}
         reps: list[Permutation] = []
-        sizes: list[int] = []
+        classes: list[frozenset[Permutation]] = []
         for e in self.sorted_elements():
             if e in rep_of:
                 continue
@@ -160,9 +161,9 @@ class GroupHandle:
                         orbit.add(y)
                         queue.append(y)
             reps.append(e)
-            sizes.append(len(orbit))
+            classes.append(frozenset(orbit))
             rep_of.update(dict.fromkeys(orbit, e))
-        return ConjugacyClassTable(tuple(reps), tuple(sizes), rep_of)
+        return ConjugacyClassTable(tuple(reps), tuple(classes), rep_of)
 
     def __repr__(self) -> str:
         return f"<group deg={self.degree} gens={len(self.generators)} order={self.order}>"

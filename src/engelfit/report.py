@@ -145,19 +145,16 @@ def parse_report(text: str) -> VerdictReport:
     # such as U+2028 that a value may hold unescaped
     lines = [line.removesuffix("\r")
              for line in text.removesuffix("\n").split("\n")]
-    if not lines or lines[0] != FORMAT_LINE:
+    if lines[0] != FORMAT_LINE:
         raise ParseError("not a recognized report (missing format line)")
+    if lines[-1] != "end":
+        raise ParseError("the report's last line is not 'end' (truncated or extended)")
     tool = corpus = None
     status_claimed = None
     suites: list[dict] = []
     groups: list[dict] = []
     group_fields: Optional[dict] = None
-    i = 1
-    while i < len(lines):
-        line = lines[i]
-        i += 1
-        if line == "end":
-            break
+    for line in lines[1:-1]:
         if line.startswith("tool "):
             tool = line[5:]
         elif line.startswith("corpus "):

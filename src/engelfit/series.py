@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConsistencyError, PreconditionError
@@ -12,7 +11,6 @@ from .subgrp import (centralizer, is_nilpotent, is_quasisimple, is_soluble,
                      quotient, socle)
 
 __all__ = [
-    "CharacteristicProfile",
     "fitting_subgroup",
     "odd_core",
     "soluble_radical",
@@ -24,7 +22,6 @@ __all__ = [
     "fitting_height",
     "insoluble_length",
     "upper_insoluble_series",
-    "characteristic_profile",
 ]
 
 
@@ -161,31 +158,3 @@ def upper_insoluble_series(group: GroupHandle,
     if not terms[0].same_elements(soluble_radical(group)):
         raise ConsistencyError("R_0 differs from the soluble radical")
     return tuple(terms)
-
-
-@dataclass(frozen=True)
-class CharacteristicProfile:
-    """The characteristic subgroups and lengths of one group."""
-
-    fitting: GroupHandle
-    layer: GroupHandle
-    gen_fitting: GroupHandle
-    soluble_radical: GroupHandle
-    odd_core: GroupHandle
-    fitting_height: Optional[int]
-    gen_fitting_height: int
-    insoluble_length: int
-
-
-def characteristic_profile(group: GroupHandle) -> CharacteristicProfile:
-    soluble = is_soluble(group)
-    return CharacteristicProfile(
-        fitting=fitting_subgroup(group),
-        layer=layer(group),
-        gen_fitting=generalized_fitting(group),
-        soluble_radical=soluble_radical(group),
-        odd_core=odd_core(group),
-        fitting_height=fitting_height(group) if soluble else None,
-        gen_fitting_height=gen_fitting_height(group),
-        insoluble_length=insoluble_length(group),
-    )

@@ -97,14 +97,14 @@ def center(group: GroupHandle) -> GroupHandle:
 
 
 def commutator_subgroup(h: GroupHandle, k: GroupHandle,
-                        within: Optional[GroupHandle] = None) -> GroupHandle:
-    """[H, K], generated by generator commutators and closed under ⟨H, K⟩-conjugation."""
+                        within: GroupHandle) -> GroupHandle:
+    """[H, K], generated by generator commutators and closed under
+    conjugation by `within`, which contains H and K and normalizes [H, K]."""
     if h.degree != k.degree:
         raise ValueError("degree mismatch in commutator subgroup")
-    ambient = within if within is not None else join(h, k)
     base = [commutator(x, y) for x in h.generators for y in k.generators]
     seed = generated_by(base, degree=h.degree)
-    return normal_closure(seed, ambient)
+    return normal_closure(seed, within)
 
 
 @derived
@@ -250,45 +250,28 @@ def pull_back(group: GroupHandle, kernel: GroupHandle,
 
 @derived
 def normal_subgroups(group: GroupHandle) -> tuple[GroupHandle, ...]:
-    """Join-closure of the normal closures of class representatives,
-    sorted by (order, fingerprint).
+    """Every normal subgroup, sorted by (order, fingerprint).
 
-    Every normal subgroup is a union of conjugacy classes and hence the
-    join of the closures of its class representatives, so this enumerates
-    the full normal lattice.
-
-    Each round joins the pairs in (order, fingerprint) order and keeps
-    every join not found yet.  It joins only the pairs with a member added
-    in the round before: the join of two older members was met in an
-    earlier round, and the join of a nested pair is its larger member, so
-    both are found already and skipping them keeps every member and its
-    generators.
+    A normal subgroup is a union of conjugacy classes C, hence the join of
+    the subgroups ⟨C⟩ it contains.  Each new ⟨C_i⟩ is joined with every
+    member found so far, so after C_1, …, C_i the found set is exactly the
+    joins of the subsets of {⟨C_1⟩, …, ⟨C_i⟩}; a ⟨C_i⟩ already found is
+    skipped, since that set is closed under joins.
     """
-    found: dict[frozenset[Permutation], GroupHandle] = {}
     trivial = GroupHandle.trivial(group.degree)
-    found[trivial.elements()] = trivial
-    for rep in group.conjugacy_classes().representatives:
-        closure = normal_closure(generated_by([rep], degree=group.degree), group)
-        found.setdefault(closure.elements(), closure)
-    fresh = set(found)
-    while fresh:
-        snapshot = sorted(found.values(), key=lambda h: (h.order, h.fingerprint))
-        added: set[frozenset[Permutation]] = set()
-        for i, a in enumerate(snapshot):
-            for b in snapshot[i + 1:]:
-                if a.elements() not in fresh and b.elements() not in fresh:
-                    continue
-                if a.is_subset_of(b):  # sorted by order, so only this way round
-                    continue
-                j = join(a, b)
-                if j.elements() not in found:
-                    if len(found) >= LATTICE_COUNT_CAP:
-                        raise ResourceLimitError(
-                            f"normal lattice count cap {LATTICE_COUNT_CAP} exceeded",
-                            partial_count=len(found))
-                    found[j.elements()] = j
-                    added.add(j.elements())
-        fresh = added
+    found: dict[frozenset[Permutation], GroupHandle] = {trivial.elements(): trivial}
+    for cls in group.conjugacy_classes().classes:
+        sub = generated_by(cls)
+        if sub.elements() in found:
+            continue
+        for member in list(found.values()):
+            j = join(sub, member)
+            if j.elements() not in found:
+                if len(found) >= LATTICE_COUNT_CAP:
+                    raise ResourceLimitError(
+                        f"normal lattice count cap {LATTICE_COUNT_CAP} exceeded",
+                        partial_count=len(found))
+                found[j.elements()] = j
     members = tuple(sorted(found.values(), key=lambda h: (h.order, h.fingerprint)))
     for m in members:
         if not is_normal_in(m, group):

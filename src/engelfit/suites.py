@@ -17,11 +17,11 @@ from .errors import ConsistencyError, ResourceLimitError
 from .group import ELEMENT_CAP, GroupHandle, clear_derived, derived
 from .perm import Permutation
 from .report import GroupSummary, SuiteResult, VerdictReport, Violation
-from .series import (_gen_fitting_by_socle, characteristic_profile,
-                     fitting_subgroup, gen_fitting_height, gen_fitting_series,
-                     generalized_fitting, insoluble_length,
-                     upper_insoluble_series)
-from .subgrp import (is_normal_in, is_subnormal, normal_closure,
+from .series import (_gen_fitting_by_socle, fitting_height, fitting_subgroup,
+                     gen_fitting_height, gen_fitting_series,
+                     generalized_fitting, insoluble_length, layer, odd_core,
+                     soluble_radical, upper_insoluble_series)
+from .subgrp import (is_normal_in, is_soluble, is_subnormal, normal_closure,
                      normal_subgroups, pull_back, quotient)
 from .zipper import (LATTICE_ORDER_CAP, SubgroupLattice, all_subgroups,
                      zipper_case)
@@ -529,18 +529,17 @@ def analyze_text(entry: CorpusEntry, include_elements: bool = False) -> str:
     """Deterministic profile text for one group (characteristic subgroups,
     series, and optionally per-element Engel facts)."""
     group = entry.group
-    profile = characteristic_profile(group)
     lines = [f"group {entry.name}",
              f"  degree {group.degree}",
              f"  order {group.order}",
-             f"  fitting-order {profile.fitting.order}",
-             f"  layer-order {profile.layer.order}",
-             f"  generalized-fitting-order {profile.gen_fitting.order}",
-             f"  soluble-radical-order {profile.soluble_radical.order}",
-             f"  odd-core-order {profile.odd_core.order}",
-             f"  fitting-height {profile.fitting_height if profile.fitting_height is not None else 'n/a'}",
-             f"  generalized-fitting-height {profile.gen_fitting_height}",
-             f"  insoluble-length {profile.insoluble_length}"]
+             f"  fitting-order {fitting_subgroup(group).order}",
+             f"  layer-order {layer(group).order}",
+             f"  generalized-fitting-order {generalized_fitting(group).order}",
+             f"  soluble-radical-order {soluble_radical(group).order}",
+             f"  odd-core-order {odd_core(group).order}",
+             f"  fitting-height {fitting_height(group) if is_soluble(group) else 'n/a'}",
+             f"  generalized-fitting-height {gen_fitting_height(group)}",
+             f"  insoluble-length {insoluble_length(group)}"]
     series = gen_fitting_series(group)
     lines.append("  generalized-fitting-series " +
                  (" < ".join(str(t.order) for t in series) or "(empty)"))

@@ -36,9 +36,6 @@ class SubgroupLattice:
     representative_of: dict[frozenset[Permutation], GroupHandle] = field(
         repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def _conjugate_orbit(group: GroupHandle, handle: GroupHandle) -> list[GroupHandle]:
     """All conjugates of a subgroup under the parent group."""
@@ -166,7 +163,6 @@ class ZipperCase:
     never expected).
     """
 
-    maximal_over: tuple[GroupHandle, ...]
     branch: str
     lemma_failures: tuple[str, ...]
 
@@ -208,8 +204,7 @@ def zipper_case(group: GroupHandle, sub: GroupHandle,
     if unique_val != (len(maximal_over) == 1):
         failures.append(f"{len(maximal_over)} maximal overgroups, but a unique "
                         f"maximal descent value is {unique_val}")
-    return ZipperCase(maximal_over=tuple(maximal_over), branch=branch,
-                      lemma_failures=tuple(failures))
+    return ZipperCase(branch=branch, lemma_failures=tuple(failures))
 
 
 def _unique_maximal(terms: Iterable[GroupHandle]) -> bool:

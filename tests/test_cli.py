@@ -102,6 +102,22 @@ def test_exit_code_three_on_engine_consistency_error(monkeypatch, capsys):
     assert err.startswith("engine consistency error: stabilizer chain order")
 
 
+def test_an_engine_bug_in_automorphism_validation_is_not_a_parse_error(
+        tmp_path, monkeypatch, capsys):
+    import engelfit.corpus
+    from engelfit.errors import ConsistencyError
+
+    def broken_make_automorphism(group, images):
+        raise ConsistencyError("planted engine bug")
+
+    monkeypatch.setattr(engelfit.corpus, "make_automorphism", broken_make_automorphism)
+    (tmp_path / "c3.grp").write_text("name c3\ndegree 3\ngen (1 2 3)\n"
+                                     "auto inv\nmap (1 3 2)\n")
+    assert main(["run", "--suite", "baer", "--corpus", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("engine consistency error: planted engine bug")
+
+
 def test_a_consistency_error_in_a_suite_names_its_entry_and_suite(monkeypatch, capsys):
     import engelfit.suites
     from engelfit.errors import ConsistencyError

@@ -247,6 +247,20 @@ def test_malformed_report_raises_parse_error(old, new, match):
         parse_report(text.replace(old, new))
 
 
+def test_truncated_report_raises_parse_error():
+    lines = render_report(_sample_report()).splitlines(keepends=True)
+    for cut in range(len(lines)):
+        with pytest.raises(ParseError):
+            parse_report("".join(lines[:cut]))
+
+
+def test_report_with_a_line_after_end_raises_parse_error():
+    text = render_report(_sample_report())
+    assert text.endswith("\nend\n")
+    with pytest.raises(ParseError, match="last line is not 'end'"):
+        parse_report(text + "group-summary late\n")
+
+
 def test_report_status_reflects_violations():
     report = _sample_report()
     assert report.status == "fail"

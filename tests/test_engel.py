@@ -66,10 +66,11 @@ def test_images_outside_group_rejected():
         make_automorphism(a4, [parse_cycles("(1 2)", 4), a4.generators[1]])
 
 
-def test_non_homomorphism_rejected_with_pair():
+def test_non_injective_homomorphism_rejected_by_the_bijection_check_with_pair():
     c4 = close_group([parse_cycles("(1 2 3 4)", 4)])
-    # sending a generator of order 4 to an element of order 2 cannot extend
-    with pytest.raises(AutomorphismError) as err:
+    # sending a generator of order 4 to an element of order 2 extends to a
+    # homomorphism C4 -> C4 with a kernel of order 2, which is not injective
+    with pytest.raises(AutomorphismError, match="bijection") as err:
         make_automorphism(c4, [parse_cycles("(1 3)(2 4)", 4)])
     assert err.value.pair is not None
 

@@ -174,14 +174,17 @@ def _brute_force_classes(group):
 
 
 def test_conjugacy_classes_s3():
-    table = sym(3).conjugacy_classes()
-    assert sorted(table.class_sizes) == [1, 2, 3]
+    s3 = sym(3)
+    table = s3.conjugacy_classes()
+    assert sorted(len(c) for c in table.classes) == [1, 2, 3]
+    assert list(table.classes) == _brute_force_classes(s3)
 
 
 def test_conjugacy_classes_c4_all_singletons():
     c4 = close_group([parse_cycles("(1 2 3 4)", 4)])
     table = c4.conjugacy_classes()
-    assert table.class_sizes == (1, 1, 1, 1)
+    assert [len(c) for c in table.classes] == [1, 1, 1, 1]
+    assert list(table.classes) == _brute_force_classes(c4)
 
 
 def test_conjugacy_classes_s4_against_brute_force():
@@ -189,13 +192,13 @@ def test_conjugacy_classes_s4_against_brute_force():
     oracle = _brute_force_classes(s4)
     table = s4.conjugacy_classes()
     assert len(table) == len(oracle) == 5
-    assert sorted(table.class_sizes) == sorted(len(c) for c in oracle)
-    assert sum(table.class_sizes) == s4.order
+    # each class is the brute-force orbit of its representative, in the
+    # same order, so they partition the group
+    assert list(table.classes) == oracle
+    assert sum(len(c) for c in table.classes) == s4.order
     # representatives are least in their class and pairwise non-conjugate
-    for rep, size in zip(table.representatives, table.class_sizes):
-        orbit = next(c for c in oracle if rep in c)
-        assert len(orbit) == size
-        assert rep == min(orbit)
+    for rep, cls in zip(table.representatives, table.classes):
+        assert rep == min(cls)
 
 
 @pytest.mark.parametrize("group", [
@@ -209,10 +212,11 @@ def test_representative_map_covers_every_element_within_its_class(group):
     classes = _brute_force_classes(group)
     for x, rep in rep_of.items():
         assert rep in next(c for c in classes if x in c)
+    assert list(table.classes) == classes
     counts = {}
     for rep in rep_of.values():
         counts[rep] = counts.get(rep, 0) + 1
-    assert counts == dict(zip(table.representatives, table.class_sizes))
+    assert counts == {rep: len(c) for rep, c in zip(table.representatives, table.classes)}
 
 
 def test_commuting_iff_trivial_commutator():

@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module, and every
-upper-case module constant of the package is read by some package module."""
+upper-case module constant and annotated class field of the package is
+read by some package module."""
 
 import ast
 import re
@@ -73,3 +74,33 @@ def test_unread_constants_finds_a_cap_no_module_reads():
 def test_package_reads_every_constant_it_defines():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """``module.Class.field`` for each annotated class-level field of a
+    class in `sources` (module name -> source) that no module reads as an
+    attribute."""
+    defined: list[str] = []
+    read: set[str] = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{module}.{node.name}.{stmt.target.id}" for stmt in node.body
+                            if isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [name for name in defined if name.rsplit(".", 1)[1] not in read]
+
+
+def test_unread_fields_finds_a_field_no_module_reads():
+    sources = {"a": "class Table:\n    reps: tuple\n    sizes: tuple\n    count = 0\n"
+                    "    def size(self):\n        return len(self.reps)\n",
+               "b": "from a import Table\nclass Case:\n    branch: str\n    stale: int\n"
+                    "def f(t, c):\n    c.stale = 1\n    return t.reps, c.branch\n"}
+    assert unread_fields(sources) == ["a.Table.sizes", "b.Case.stale"]
+
+
+def test_package_reads_every_field_it_defines():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(sources) == []

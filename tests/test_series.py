@@ -6,8 +6,8 @@ from engelfit.corpus import builtin, small_std
 from engelfit.errors import PreconditionError
 from engelfit.group import GroupHandle
 from engelfit.perm import parse_cycles
-from engelfit.series import (_gen_fitting_by_socle, characteristic_profile,
-                             fitting_height, fitting_series, fitting_subgroup,
+from engelfit.series import (_gen_fitting_by_socle, fitting_height,
+                             fitting_series, fitting_subgroup,
                              gen_fitting_height, gen_fitting_series,
                              generalized_fitting, insoluble_length, layer,
                              odd_core, soluble_radical, upper_insoluble_series)
@@ -179,19 +179,20 @@ def test_heights_zero_iff_trivial_and_soluble():
         assert (insoluble_length(g) == 0) == is_soluble(g)
 
 
-def test_characteristic_profile_fields():
-    p = characteristic_profile(sym(4))
-    assert p.fitting.order == 4
-    assert p.gen_fitting.order == 4
-    assert p.layer.order == 1
-    assert p.soluble_radical.order == 24
-    assert p.gen_fitting_height == 3
-    assert p.fitting_height == 3
-    assert p.insoluble_length == 0
-    p5 = characteristic_profile(sym(5))
-    assert p5.fitting_height is None
-    assert p5.gen_fitting.order == 60
-    assert p5.insoluble_length == 1
+def test_characteristic_subgroups_and_lengths_of_s4_and_s5():
+    s4 = sym(4)
+    assert fitting_subgroup(s4).order == 4
+    assert generalized_fitting(s4).order == 4
+    assert layer(s4).order == 1
+    assert soluble_radical(s4).order == 24
+    assert gen_fitting_height(s4) == 3
+    assert fitting_height(s4) == 3
+    assert insoluble_length(s4) == 0
+    s5 = sym(5)
+    with pytest.raises(PreconditionError, match="soluble"):
+        fitting_height(s5)
+    assert generalized_fitting(s5).order == 60
+    assert insoluble_length(s5) == 1
 
 
 def test_gen_fitting_height_of_c2xa5_is_one():

@@ -2,7 +2,7 @@
 
 engelfit computes from full element sets; sympy works from generators
 (Schreier-Sims, subgroup search).  Order, the derived and lower central
-series, the centre, centralizers, normal closures, class sizes,
+series, the centre, centralizers, normal closures, conjugacy classes,
 solubility and nilpotency are compared on every small-std group and on
 random subgroups of S_n for n <= 6.
 """
@@ -44,8 +44,9 @@ def assert_invariants_agree(group, oracle):
     assert ([h.order for h in lower_central_series(group)]
             == [h.order() for h in oracle.lower_central_series()])
     assert images(center(group)) == sympy_images(oracle.center())
-    assert (sorted(group.conjugacy_classes().class_sizes)
-            == sorted(len(c) for c in oracle.conjugacy_classes()))
+    assert ({frozenset(e.images for e in c) for c in group.conjugacy_classes().classes}
+            == {frozenset(tuple(p.array_form) for p in c)
+                for c in oracle.conjugacy_classes()})
     assert is_soluble(group) == oracle.is_solvable
     assert is_nilpotent(group) == oracle.is_nilpotent
 
