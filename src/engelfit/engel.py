@@ -8,7 +8,7 @@ from typing import Callable, Optional, Union
 from .errors import (AutomorphismError, ConsistencyError, PreconditionError,
                      ResourceLimitError)
 from .group import GroupHandle, _check_size, close_group, derived, generated_by
-from .perm import Permutation, p_part
+from .perm import Permutation, p_part, right_multiply
 from .subgrp import center, descend, normal_closure
 
 __all__ = [
@@ -186,27 +186,37 @@ def _engel_sets(group: GroupHandle, actor: Actor,
     steps raise ``ResourceLimitError``.  Callers pass ``k_cap``
     positionally, so the Baer test and the Engel chain share one walk.
 
-    f is tabled once over E_0 = G; every later set lies in G, so each step
-    is a table lookup and each commutator is formed once.
+    For an inner actor x, [e, x] = e⁻¹x⁻¹e·x = (x⁻¹)^e·x, so E_1 is the
+    class of x⁻¹ times x, one batch product of |x^G| elements read from
+    the class table.  Every later set lies in E_1, so f is tabled over
+    E_1 alone, each later step is a table lookup, and each commutator is
+    formed once.  An automorphism has no such shortcut: f is tabled over
+    G and E_1 = f(G).
     """
     if k_cap is None:
         k_cap = max(group.order, 4)
     if k_cap < 1:
         raise ValueError("k_cap must be at least 1")
     com = _commutator_fn(group, actor)
-    table = {e: com(e) for e in group.elements()}
+    if isinstance(actor, AutomorphismMap):
+        table = {e: com(e) for e in group.elements()}
+        nxt = frozenset(table.values())
+    else:
+        nxt = frozenset(right_multiply(
+            group.conjugacy_classes().class_of(actor.inverse()), actor))
+        table = {e: com(e) for e in nxt}
     walk = [group.elements()]
     while len(walk[-1]) > 1:
         if len(walk) > k_cap:
             raise ResourceLimitError(
                 f"no stable commutator set within k_cap={k_cap} iterations",
                 partial_count=k_cap)
-        nxt = frozenset(map(table.__getitem__, walk[-1]))
         if not nxt <= walk[-1]:
             raise ConsistencyError("commutator set left the previous set")
         if len(nxt) == len(walk[-1]):
             break
         walk.append(nxt)
+        nxt = frozenset(map(table.__getitem__, nxt))
     return tuple(walk)
 
 

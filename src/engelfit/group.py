@@ -65,16 +65,23 @@ def clear_derived(keep: Iterable[Permutation] = ()) -> None:
 
 @dataclass(frozen=True)
 class ConjugacyClassTable:
-    """Class representatives (lexicographically least members), the
-    classes as element sets in the same order, and the representative of
-    every element's class."""
+    """The classes as element sets, keyed by their representatives
+    (lexicographically least members) in sorted order, and the
+    representative of every element's class."""
 
-    representatives: tuple[Permutation, ...]
-    classes: tuple[frozenset[Permutation], ...]
+    classes: dict[Permutation, frozenset[Permutation]]
     representative_of: dict[Permutation, Permutation] = field(repr=False, compare=False)
 
+    @property
+    def representatives(self) -> tuple[Permutation, ...]:
+        return tuple(self.classes)
+
+    def class_of(self, g: Permutation) -> frozenset[Permutation]:
+        """The conjugacy class of the member g."""
+        return self.classes[self.representative_of[g]]
+
     def __len__(self) -> int:
-        return len(self.representatives)
+        return len(self.classes)
 
 
 class GroupHandle:
@@ -146,8 +153,7 @@ class GroupHandle:
     @derived
     def conjugacy_classes(self) -> ConjugacyClassTable:
         rep_of: dict[Permutation, Permutation] = {}
-        reps: list[Permutation] = []
-        classes: list[frozenset[Permutation]] = []
+        classes: dict[Permutation, frozenset[Permutation]] = {}
         for e in self.sorted_elements():
             if e in rep_of:
                 continue
@@ -160,10 +166,9 @@ class GroupHandle:
                     if y not in orbit:
                         orbit.add(y)
                         queue.append(y)
-            reps.append(e)
-            classes.append(frozenset(orbit))
+            classes[e] = frozenset(orbit)
             rep_of.update(dict.fromkeys(orbit, e))
-        return ConjugacyClassTable(tuple(reps), tuple(classes), rep_of)
+        return ConjugacyClassTable(classes, rep_of)
 
     def __repr__(self) -> str:
         return f"<group deg={self.degree} gens={len(self.generators)} order={self.order}>"

@@ -260,7 +260,7 @@ def normal_subgroups(group: GroupHandle) -> tuple[GroupHandle, ...]:
     """
     trivial = GroupHandle.trivial(group.degree)
     found: dict[frozenset[Permutation], GroupHandle] = {trivial.elements(): trivial}
-    for cls in group.conjugacy_classes().classes:
+    for cls in group.conjugacy_classes().classes.values():
         sub = generated_by(cls)
         if sub.elements() in found:
             continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterable
 
 from .errors import PreconditionError, ResourceLimitError
@@ -53,21 +54,38 @@ def _conjugate_orbit(group: GroupHandle, handle: GroupHandle) -> list[GroupHandl
 
 
 def _double_coset_reps(group: GroupHandle, sub: GroupHandle) -> list[Permutation]:
-    """Least representatives of the double cosets sub\\group/sub.
+    """Least representatives of the double cosets sub·g·sub that an
+    extension ⟨sub, g⟩ needs, in sorted order.
 
-    ⟨M, g⟩ only depends on the double coset MgM, so extensions need just
-    one candidate per class.
+    ⟨H, g⟩ only depends on the double coset HgH, so extensions need just
+    one candidate per class.  HgH is the union of the right cosets H·y in
+    the orbit of H·g under right multiplication by H, so it is added one
+    coset at a time, walking y ↦ y·s over the generators s of H.  For k
+    prime to the order of g, g is a power of g^k, so ⟨H, g^k⟩ = ⟨H, g⟩:
+    the double cosets of those powers are marked as well and give no
+    candidate of their own.  Every element below a candidate is marked,
+    so each candidate is the least member of its double coset.
     """
-    sub_elems = sorted(sub.elements())
+    sub_elems = sub.elements()
     assigned: set[Permutation] = set()
+
+    def add_double_coset(g: Permutation) -> None:
+        frontier = [g]
+        while frontier:
+            y = frontier.pop()
+            if y not in assigned:
+                assigned.update(right_multiply(sub_elems, y))
+                frontier.extend(y * s for s in sub.generators)
+
     reps: list[Permutation] = []
     for e in group.sorted_elements():
         if e in assigned:
             continue
         reps.append(e)
-        left = right_multiply(sub_elems, e)
-        for b in sub_elems:
-            assigned.update(right_multiply(left, b))
+        n = e.order()
+        for k in range(1, n + 1):
+            if gcd(k, n) == 1:
+                add_double_coset(e ** k)
     return reps
 
 

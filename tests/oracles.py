@@ -11,7 +11,7 @@ from typing import Iterable, Optional
 from engelfit.engel import Actor, AutomorphismMap
 from engelfit.errors import PreconditionError
 from engelfit.group import GroupHandle, generated_by
-from engelfit.perm import Permutation
+from engelfit.perm import Permutation, right_multiply
 from engelfit.subgrp import join, normal_closure_descent, normal_subgroups
 from engelfit.zipper import SubgroupLattice
 
@@ -95,6 +95,23 @@ def commutator_descent_by_elements(group: GroupHandle,
         if nxt.same_elements(terms[-1]):
             return tuple(terms)
         terms.append(nxt)
+
+
+def double_coset_reps_by_products(group: GroupHandle,
+                                  sub: GroupHandle) -> list[Permutation]:
+    """The least member of every double coset sub·g·sub, in sorted order,
+    each double coset formed as all |sub|² products a·g·b."""
+    sub_elems = sorted(sub.elements())
+    assigned: set[Permutation] = set()
+    reps: list[Permutation] = []
+    for e in group.sorted_elements():
+        if e in assigned:
+            continue
+        reps.append(e)
+        left = right_multiply(sub_elems, e)
+        for b in sub_elems:
+            assigned.update(right_multiply(left, b))
+    return reps
 
 
 def unique_max_element_check(group: GroupHandle, sub: GroupHandle,

@@ -233,22 +233,26 @@ def test_engel_chain_set_recurrence():
 
 
 def test_commutator_set_leaving_its_predecessor_is_an_engine_bug(monkeypatch):
-    # conjugating by a point outside {1,2,3} does not normalize A3, so
-    # the "commutators" leave the group and the descent check must fire
+    # conjugating by a point outside {1,2,3} does not normalize S3, so
+    # the "commutators" leave the group and the descent check must fire.
+    # E_1 comes from the class table, so the defect shows from E_2 on:
+    # E_1 = {1, (1 3 2)} is not {1} for x = (1 2 3)
     import engelfit.engel as engel_mod
-    clear_derived()  # no walk or descent of a3 cached by an earlier test
-    a3 = close_group([parse_cycles("(1 2 3)", 4)])
+    clear_derived()  # no walk or descent of s3 cached by an earlier test
+    s3 = close_group([parse_cycles("(1 2 3)", 4), parse_cycles("(1 2)", 4)])
+    x = parse_cycles("(1 2 3)", 4)
+    assert len(engel_mod._engel_sets(s3, x, None)[1]) == 2
+    clear_derived()
     outside = parse_cycles("(1 4)", 4)
     monkeypatch.setattr(engel_mod, "_commutator_fn",
                         lambda group, actor: lambda g: g.inverse() * g.conjugate(outside))
-    x = a3.generators[0]
     with pytest.raises(ConsistencyError, match="left the previous set"):
-        engel_chain(a3, x)
+        engel_chain(s3, x)
     with pytest.raises(ConsistencyError, match="left the previous set"):
-        baer_membership(a3, x)
+        baer_membership(s3, x)
     # the descent forms its commutators through the same function
     with pytest.raises(ConsistencyError):
-        commutator_descent(a3, x)
+        commutator_descent(s3, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,6 +273,13 @@ def test_descent_and_generated_chain_match_the_all_elements_routes(gens, data):
     assert len(chain.generated) == len(chain.sets) - 1
     for k, h in enumerate(chain.generated):
         assert h.elements() == generated_by(chain.sets[k + 1], degree=group.degree).elements()
+    # each set is the commutators of the one before, whichever route
+    # formed it (the class table for E_1 of an inner actor), and the last
+    # set is stable
+    assert chain.sets[0] == group.elements()
+    for k, current in enumerate(chain.sets):
+        image = {commutator_with_actor(group, e, actor) for e in current}
+        assert image == (chain.sets[k + 1] if k + 1 < len(chain.sets) else current)
 
 
 def test_engel_chain_generated_descending_and_subnormal():

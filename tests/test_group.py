@@ -176,15 +176,15 @@ def _brute_force_classes(group):
 def test_conjugacy_classes_s3():
     s3 = sym(3)
     table = s3.conjugacy_classes()
-    assert sorted(len(c) for c in table.classes) == [1, 2, 3]
-    assert list(table.classes) == _brute_force_classes(s3)
+    assert sorted(len(c) for c in table.classes.values()) == [1, 2, 3]
+    assert list(table.classes.values()) == _brute_force_classes(s3)
 
 
 def test_conjugacy_classes_c4_all_singletons():
     c4 = close_group([parse_cycles("(1 2 3 4)", 4)])
     table = c4.conjugacy_classes()
-    assert [len(c) for c in table.classes] == [1, 1, 1, 1]
-    assert list(table.classes) == _brute_force_classes(c4)
+    assert [len(c) for c in table.classes.values()] == [1, 1, 1, 1]
+    assert list(table.classes.values()) == _brute_force_classes(c4)
 
 
 def test_conjugacy_classes_s4_against_brute_force():
@@ -194,10 +194,10 @@ def test_conjugacy_classes_s4_against_brute_force():
     assert len(table) == len(oracle) == 5
     # each class is the brute-force orbit of its representative, in the
     # same order, so they partition the group
-    assert list(table.classes) == oracle
-    assert sum(len(c) for c in table.classes) == s4.order
+    assert list(table.classes.values()) == oracle
+    assert sum(len(c) for c in table.classes.values()) == s4.order
     # representatives are least in their class and pairwise non-conjugate
-    for rep, cls in zip(table.representatives, table.classes):
+    for rep, cls in table.classes.items():
         assert rep == min(cls)
 
 
@@ -212,11 +212,14 @@ def test_representative_map_covers_every_element_within_its_class(group):
     classes = _brute_force_classes(group)
     for x, rep in rep_of.items():
         assert rep in next(c for c in classes if x in c)
-    assert list(table.classes) == classes
+    assert list(table.classes.values()) == classes
     counts = {}
     for rep in rep_of.values():
         counts[rep] = counts.get(rep, 0) + 1
-    assert counts == {rep: len(c) for rep, c in zip(table.representatives, table.classes)}
+    assert counts == {rep: len(c) for rep, c in table.classes.items()}
+    for x in group.elements():
+        assert table.class_of(x) is table.classes[rep_of[x]]
+        assert x in table.class_of(x)
 
 
 def test_commuting_iff_trivial_commutator():

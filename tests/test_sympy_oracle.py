@@ -44,7 +44,7 @@ def assert_invariants_agree(group, oracle):
     assert ([h.order for h in lower_central_series(group)]
             == [h.order() for h in oracle.lower_central_series()])
     assert images(center(group)) == sympy_images(oracle.center())
-    assert ({frozenset(e.images for e in c) for c in group.conjugacy_classes().classes}
+    assert ({frozenset(e.images for e in c) for c in group.conjugacy_classes().classes.values()}
             == {frozenset(tuple(p.array_form) for p in c)
                 for c in oracle.conjugacy_classes()})
     assert is_soluble(group) == oracle.is_solvable

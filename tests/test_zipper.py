@@ -1,5 +1,7 @@
 """Subgroup lattices, normal-closure descent, and the dichotomy scan."""
 
+from math import gcd
+
 import pytest
 
 from engelfit import zipper as zipper_module
@@ -9,7 +11,8 @@ from engelfit.perm import parse_cycles
 from engelfit.subgrp import is_subnormal, join, normal_closure
 from engelfit.zipper import (all_subgroups, descent_lemma_failures,
                              normal_closure_descent, zipper_case)
-from tests.oracles import self_closing_join, unique_max_element_check
+from tests.oracles import (double_coset_reps_by_products, self_closing_join,
+                           unique_max_element_check)
 from tests.test_group import alt, sym
 from tests.test_subgroups import closure_oracle
 
@@ -107,6 +110,28 @@ def test_each_class_representative_is_its_first_member_in_lattice_order():
             met.add(rep.elements())
             assert rep is m
     assert len(met) == 11
+
+
+@pytest.mark.parametrize("group", [sym(4), alt(5)], ids=["s4", "a5"])
+def test_double_coset_reps_skip_only_coprime_powers(group):
+    # against the least member of every double coset, each formed from all
+    # |H|^2 products: the candidates come in the same order, and every
+    # double coset left out is H x^k H for a candidate x, k prime to o(x)
+    skipped = 0
+    for sub in all_subgroups(group).members:
+        reps = zipper_module._double_coset_reps(group, sub)
+        oracle = double_coset_reps_by_products(group, sub)
+        kept = set(reps)
+        assert reps == [r for r in oracle if r in kept]
+        skipped += len(oracle) - len(reps)
+        covered = set()
+        for x in reps:
+            n = x.order()
+            for k in range(1, n + 1):
+                if gcd(k, n) == 1:
+                    covered |= {a * x ** k * b for a in sub.elements() for b in sub.elements()}
+        assert all(r in covered for r in oracle if r not in kept)
+    assert skipped > 0
 
 
 def test_lattice_order_cap():
